@@ -63,6 +63,9 @@ class FieldSpec:
                 )
             if not _is_irreducible(poly, m):
                 raise ValueError(f"reduction polynomial 0x{poly:X} is reducible")
+            exp, log = _log_tables(m, poly)
+            object.__setattr__(self, "_exp", exp)
+            object.__setattr__(self, "_log", log)
 
     @property
     def size(self) -> int:
@@ -82,21 +85,16 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if self.order_exponent == 1:
             return a & b
-        return _gf_mul(self.order_exponent, self.reduction_polynomial, a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         if self.order_exponent == 1:
             return 1
-        # a^(2^m - 2) by square-and-multiply; fields are tiny.
-        result, exp, base = 1, self.size - 2, a
-        while exp:
-            if exp & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            exp >>= 1
-        return result
+        return self._exp[self.size - 1 - self._log[a]]
 
     def pow(self, a: int, n: int) -> int:
         result = 1
@@ -105,8 +103,9 @@ class FieldSpec:
         return result
 
 
-@lru_cache(maxsize=None)
 def _gf_mul(m: int, poly: int, a: int, b: int) -> int:
+    """Shift-and-add product reduced by ``poly``: the reference the
+    log/antilog tables are built from."""
     out = 0
     while b:
         if b & 1:
@@ -116,6 +115,31 @@ def _gf_mul(m: int, poly: int, a: int, b: int) -> int:
             a ^= poly
         b >>= 1
     return out
+
+
+@lru_cache(maxsize=None)
+def _log_tables(m: int, poly: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Antilog table ``exp`` (twice the group order long, so a sum of two
+    logs needs no reduction) and log table of GF(2^m) under ``poly``.
+
+    Any irreducible polynomial is accepted, and x need not be primitive for
+    it, so the generator is found by search: the first element whose powers
+    run through all 2^m - 1 nonzero values.
+    """
+    order = (1 << m) - 1
+    for g in range(2, order + 1):
+        powers = [1]
+        while len(powers) < order:
+            nxt = _gf_mul(m, poly, powers[-1], g)
+            if nxt == 1:
+                break
+            powers.append(nxt)
+        if len(powers) == order:
+            break
+    log = [0] * (order + 1)
+    for i, x in enumerate(powers):
+        log[x] = i
+    return tuple(powers + powers), tuple(log)
 
 
 GF2 = FieldSpec(1)

@@ -122,6 +122,68 @@ class DecodeReport:
         return rows
 
 
+def _eliminate(
+    spec: StreamingCodeSpec,
+    received: Sequence,
+    erased_times: Sequence[int],
+    horizon: int,
+) -> dict[tuple[int, int], tuple[Optional[int], Optional[int]]]:
+    """Incremental elimination over the source sub-symbols of ``erased_times``.
+
+    ``erased_times`` is ascending and below ``horizon``; ``received[t]`` is
+    read only at the other times.  Returns ``(recovery_time, value)`` per
+    erased (t, row) in time-then-row order, ``(None, None)`` when the
+    received prefix up to ``horizon`` never determines it.
+
+    Equations arrive in time order, one per received parity sub-symbol
+    whose taps reach an unknown.  The others carry no information about the
+    unknowns, so the scan starts at the first erased time and computes the
+    rhs only of equations that go to the solver.
+    """
+    n_src = spec.n_source
+    field = spec.field
+    binary = field.order_exponent == 1
+    first_col = {t: i * n_src for i, t in enumerate(erased_times)}
+    by_col = [(t, row) for t in erased_times for row in range(n_src)]
+    decoded = dict.fromkeys(by_col, (None, None))
+    if not by_col:
+        return decoded
+    rows = [
+        (n_src + r, [(tap.delay, tap.source_row, tap.coeff) for tap in prow.taps])
+        for r, prow in enumerate(spec.parity_rows)
+    ]
+    solver = IncrementalSolver(field)
+    for t in range(erased_times[0], horizon):
+        if t in first_col:
+            continue
+        sym = received[t]
+        for pos, taps in rows:
+            if binary:
+                eq = 0
+                for delay, row, _ in taps:
+                    col = first_col.get(t - delay)
+                    if col is not None:
+                        eq ^= 1 << (col + row)
+            else:
+                eq = {}
+                for delay, row, coeff in taps:
+                    col = first_col.get(t - delay)
+                    if col is not None:
+                        eq[col + row] = eq.get(col + row, 0) ^ coeff
+                eq = {c: v for c, v in eq.items() if v}
+            if not eq:
+                continue
+            rhs = sym[pos]
+            for delay, row, coeff in taps:
+                tt = t - delay
+                if tt >= 0 and tt not in first_col:
+                    known = received[tt][row]
+                    rhs ^= known if binary else field.mul(coeff, known)
+            for col, value in solver.add_equation(eq, rhs):
+                decoded[by_col[col]] = (t, value)
+    return decoded
+
+
 def generic_decode(
     spec: StreamingCodeSpec,
     received: Sequence,
@@ -133,67 +195,23 @@ def generic_decode(
     Equations arrive in time order; the recovery time of an unknown is the
     first step at which the received prefix determines it uniquely.
     """
-    field = spec.field
-    n_src = spec.n_source
-    report = DecodeReport(n_src, horizon)
-    uid: dict[tuple[int, int], int] = {}
-    by_col: list[tuple[int, int]] = []
-    for t in range(horizon):
-        if pattern.erased(t):
-            if received[t] is not ERASED:
-                raise ValueError(f"received symbol present at erased time {t}")
-            for row in range(n_src):
-                uid[(t, row)] = len(by_col)
-                by_col.append((t, row))
-                report.entries[(t, row)] = SymbolReport(True, None, None)
-
-    solver = IncrementalSolver(field)
-
-    def note_determined(fresh, now: int) -> None:
-        for col, value in fresh:
-            t, row = by_col[col]
-            rep = report.entries[(t, row)]
-            rep.recovery_time = now
-            rep.value = value
-
-    known: dict[tuple[int, int], int] = {}
-    binary = field.order_exponent == 1
-    for t in range(horizon):
-        if pattern.erased(t):
-            continue
-        sym = received[t]
-        if sym is ERASED:
+    erased = [t for t in range(horizon) if pattern.erased(t)]
+    for t in erased:
+        if received[t] is not ERASED:
+            raise ValueError(f"received symbol present at erased time {t}")
+    erased_set = set(erased)
+    clean = [t for t in range(horizon) if t not in erased_set]
+    for t in clean:
+        if received[t] is ERASED:
             raise ValueError(f"missing symbol at unerased time {t}")
-        for row in range(n_src):
-            known[(t, row)] = sym[row]
-            report.entries.setdefault((t, row), SymbolReport(False, t, sym[row]))
-        for r, prow in enumerate(spec.parity_rows):
-            rhs = sym[n_src + r]
-            eq_mask = 0
-            eq: dict[int, int] = {}
-            touched = False
-            for tap in prow.taps:
-                tt = t - tap.delay
-                if tt < 0:
-                    continue
-                col = uid.get((tt, tap.source_row))
-                if col is None:
-                    rhs = field.add(rhs, field.mul(tap.coeff, known[(tt, tap.source_row)]))
-                else:
-                    touched = True
-                    if binary:
-                        eq_mask ^= 1 << col
-                    else:
-                        eq[col] = field.add(eq.get(col, 0), tap.coeff)
-            if not touched:
-                continue
-            if binary:
-                if eq_mask:
-                    note_determined(solver.add_equation(eq_mask, rhs), t)
-            else:
-                eq = {c: v for c, v in eq.items() if v}
-                if eq:
-                    note_determined(solver.add_equation(eq, rhs), t)
+    report = DecodeReport(spec.n_source, horizon)
+    entries = report.entries
+    for key, (when, value) in _eliminate(spec, received, erased, horizon).items():
+        entries[key] = SymbolReport(True, when, value)
+    for t in clean:
+        sym = received[t]
+        for row in range(spec.n_source):
+            entries[(t, row)] = SymbolReport(False, t, sym[row])
     return report
 
 
@@ -260,20 +278,17 @@ def verify_deadlines(
     for start in range(memory, memory + window):
         for length in range(1, user.burst + 1):
             trials += 1
-            pattern = SingleBurst(start, length)
-            received = apply_channel(channel, pattern)
             # Equations after the last deadline cannot help meet it.
             h = min(horizon, start + length + user.delay + 1)
-            report = generic_decode(spec, received, pattern, h)
-            for (t, row), rep in report.erased_entries():
-                late = rep.recovery_time is None or rep.recovery_time > t + user.delay
-                if late:
+            decoded = _eliminate(spec, channel, range(start, start + length), h)
+            for (t, row), (when, value) in decoded.items():
+                if when is None or when > t + user.delay:
                     return VerifyResult(
                         False,
                         trials,
-                        Counterexample(start, length, (t, row), t + user.delay, rep.recovery_time),
+                        Counterexample(start, length, (t, row), t + user.delay, when),
                     )
-                if check_values and rep.value != src[t][row]:
+                if check_values and value != src[t][row]:
                     raise AssertionError(
                         f"decoder returned a wrong value at {(t, row)}: encoder bug"
                     )
@@ -575,22 +590,6 @@ def region_e_structured_decode(
 # -- multiple bursts with a guard interval -------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoBursts:
-    """Two bursts separated by a guard gap of unerased symbols."""
-
-    first_start: int
-    first_length: int
-    gap: int
-    second_length: int
-
-    def erased(self, t: int) -> bool:
-        if self.first_start <= t < self.first_start + self.first_length:
-            return True
-        s2 = self.first_start + self.first_length + self.gap
-        return s2 <= t < s2 + self.second_length
-
-
 def verify_guarded_bursts(
     spec: StreamingCodeSpec,
     user: UserSpec,
@@ -617,15 +616,15 @@ def verify_guarded_bursts(
     for start in range(memory, memory + window):
         for gap in (guard, guard + 1):
             trials += 1
-            pattern = TwoBursts(start, user.burst, gap, user.burst)
-            received = apply_channel(channel, pattern)
-            h = min(horizon, start + 2 * user.burst + gap + user.delay + 1)
-            report = generic_decode(spec, received, pattern, h)
-            for (t, row), rep in report.erased_entries():
-                if rep.recovery_time is None or rep.recovery_time > t + user.delay:
+            second = start + user.burst + gap
+            erased = sorted({*range(start, start + user.burst), *range(second, second + user.burst)})
+            h = min(horizon, second + user.burst + user.delay + 1)
+            decoded = _eliminate(spec, channel, erased, h)
+            for (t, row), (when, _) in decoded.items():
+                if when is None or when > t + user.delay:
                     return VerifyResult(
                         False,
                         trials,
-                        Counterexample(start, user.burst, (t, row), t + user.delay, rep.recovery_time),
+                        Counterexample(start, user.burst, (t, row), t + user.delay, when),
                     )
     return VerifyResult(True, trials)

@@ -14,6 +14,7 @@ equality is a canonical form.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -204,34 +205,49 @@ def spec_to_text(spec: StreamingCodeSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+_TAP_TEXT = re.compile(r"(?:(\d+)\s*\*\s*)?s(\d+)\[i-(\d+)\]")
+
+
+def _taps_from_text(rest: str) -> list[Tap]:
+    if rest == "0":
+        return []
+    taps = []
+    for term in re.split(r"\+(?![^\[]*\])", rest):  # a '+' inside [...] is no separator
+        match = _TAP_TEXT.fullmatch(term.strip())
+        if match is None:
+            raise ValueError(f"bad tap {term.strip()!r}, expected [c*]s<row>[i-<delay>]")
+        coeff, row, delay = match.groups()
+        taps.append(Tap(int(row), int(delay), int(coeff or 1)))
+    return taps
+
+
 def spec_from_text(text: str, label: str = "") -> StreamingCodeSpec:
+    """Parse the canonical text form; a malformed line raises a
+    ``ValueError`` naming its line number."""
     field = GF2
     n_source = None
     rows = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         kind, _, rest = line.partition(" ")
-        if kind == "field":
-            field = _FIELD_BY_NAME[rest.strip()]
-        elif kind == "sources":
-            n_source = int(rest)
-        elif kind == "parity":
-            taps = []
-            rest = rest.strip()
-            if rest != "0":
-                for term in rest.split("+"):
-                    term = term.strip()
-                    coeff = 1
-                    if "*" in term:
-                        c, term = term.split("*")
-                        coeff = int(c)
-                    row_s, _, delay_s = term.partition("[i-")
-                    taps.append(Tap(int(row_s[1:]), int(delay_s.rstrip("]")), coeff))
-            rows.append(make_row(taps, field))
-        else:
-            raise ValueError(f"unrecognized line: {line!r}")
+        rest = rest.strip()
+        try:
+            if kind == "field":
+                if rest not in _FIELD_BY_NAME:
+                    raise ValueError(f"unknown field {rest!r}, expected one of {sorted(_FIELD_BY_NAME)}")
+                field = _FIELD_BY_NAME[rest]
+            elif kind == "sources":
+                if not rest.isdigit():
+                    raise ValueError(f"source count {rest!r} is not a number")
+                n_source = int(rest)
+            elif kind == "parity":
+                rows.append(make_row(_taps_from_text(rest), field))
+            else:
+                raise ValueError(f"unrecognized line: {line!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if n_source is None:
         raise ValueError("missing 'sources' line")
     return StreamingCodeSpec(field, n_source, tuple(rows), label)

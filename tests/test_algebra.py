@@ -13,6 +13,7 @@ from burstfec.algebra import (
     InconsistentSystemError,
     LinearSystem,
     MismatchedFieldError,
+    _gf_mul,
     field_add,
     field_mul,
     solve,
@@ -66,6 +67,20 @@ def test_gf256_field_axioms(a, b, c):
 def test_gf256_inverses():
     for a in range(1, 256):
         assert GF256.mul(a, GF256.inv(a)) == 1
+
+
+@pytest.mark.parametrize(
+    "field",
+    [GF256, FieldSpec(4, 0x13), FieldSpec(4, 0x1F)],  # x has order 5 under 0x1F: not primitive
+    ids=["gf256", "gf16-0x13", "gf16-0x1f"],
+)
+def test_log_tables_match_reference_multiply(field):
+    m, poly = field.order_exponent, field.reduction_polynomial
+    for a in range(field.size):
+        for b in range(field.size):
+            assert field.mul(a, b) == _gf_mul(m, poly, a, b), (a, b)
+    for a in range(1, field.size):
+        assert field.mul(a, field.inv(a)) == 1, a
 
 
 def test_reducible_polynomial_rejected():

@@ -3,12 +3,15 @@ from dataclasses import dataclass
 
 import pytest
 
+from burstfec import channel_sim
 from burstfec.algebra import GF2
 from burstfec.channel_sim import (
     ERASED,
+    Counterexample,
     Periodic,
     SingleBurst,
     UserSpec,
+    VerifyResult,
     apply_channel,
     generic_decode,
     make_periodic,
@@ -16,9 +19,10 @@ from burstfec.channel_sim import (
     run_pec,
     source_fill,
     verify_deadlines,
+    verify_guarded_bursts,
 )
 from burstfec.code_model import StreamingCodeSpec, Tap, encode, make_row
-from burstfec.musco import MulticastParams
+from burstfec.musco import MulticastParams, construct
 from burstfec.sco import ScoParams, construct_sco
 
 
@@ -81,13 +85,116 @@ def test_verify_vacuous_for_zero_burst():
     assert verify_deadlines(spec, UserSpec(0, 3), 10).passed
 
 
-def test_verify_catches_sabotage():
+def _sabotaged_sco_2_3():
     good = construct_sco(ScoParams(2, 3))
     rows = (good.parity_rows[0], make_row([Tap(1, 3, 1)]))  # drop the s2 tap
-    bad = StreamingCodeSpec(GF2, 3, rows, "sabotaged")
-    res = verify_deadlines(bad, UserSpec(2, 3), 20)
+    return StreamingCodeSpec(GF2, 3, rows, "sabotaged")
+
+
+def test_verify_catches_sabotage():
+    res = verify_deadlines(_sabotaged_sco_2_3(), UserSpec(2, 3), 20)
     assert not res.passed
     assert res.counterexample is not None
+
+
+# -- window-local sweeps against whole-prefix decoding ------------------------
+
+
+def _first_late(report, start, length, delay, trials, src=None):
+    """The sweep verdict of one trial's full decode report, or None when
+    every erased sub-symbol is back by its deadline (and, given ``src``,
+    decoded to its true value)."""
+    for (t, row), rep in report.erased_entries():
+        if rep.recovery_time is None or rep.recovery_time > t + delay:
+            ce = Counterexample(start, length, (t, row), t + delay, rep.recovery_time)
+            return VerifyResult(False, trials, ce)
+        if src is not None and rep.value != src[t][row]:
+            raise AssertionError(f"decoder returned a wrong value at {(t, row)}: encoder bug")
+    return None
+
+
+def _reference_verify_deadlines(spec, user, window, seed=0):
+    """Whole-prefix sweep: erase the encoded stream and decode it from t=0."""
+    if user.burst == 0:
+        return VerifyResult(True, 0)
+    horizon = spec.memory + window + user.burst + user.delay + 1
+    src = source_fill(spec.n_source, horizon, spec.field.size, seed)
+    channel = encode(spec, src, horizon)
+    trials = 0
+    for start in range(spec.memory, spec.memory + window):
+        for length in range(1, user.burst + 1):
+            trials += 1
+            pattern = SingleBurst(start, length)
+            h = min(horizon, start + length + user.delay + 1)
+            report = generic_decode(spec, apply_channel(channel, pattern), pattern, h)
+            verdict = _first_late(report, start, length, user.delay, trials, src)
+            if verdict is not None:
+                return verdict
+    return VerifyResult(True, trials)
+
+
+def _reference_verify_guarded_bursts(spec, user, guard, window, seed=0):
+    horizon = spec.memory + window + 2 * user.burst + guard + 2 + user.delay + 1
+    channel = encode(spec, source_fill(spec.n_source, horizon, spec.field.size, seed), horizon)
+    trials = 0
+    for start in range(spec.memory, spec.memory + window):
+        for gap in (guard, guard + 1):
+            trials += 1
+            second = start + user.burst + gap
+            pattern = SetPattern(
+                frozenset(range(start, start + user.burst)) | frozenset(range(second, second + user.burst))
+            )
+            h = min(horizon, second + user.burst + user.delay + 1)
+            report = generic_decode(spec, apply_channel(channel, pattern), pattern, h)
+            verdict = _first_late(report, start, user.burst, user.delay, trials)
+            if verdict is not None:
+                return verdict
+    return VerifyResult(True, trials)
+
+
+def _multicast_cases(point):
+    p = MulticastParams(*point)
+    spec = construct(p)
+    window = 4 * max(spec.memory, 1)
+    return [(spec, UserSpec(p.b1, p.t1), window), (spec, UserSpec(p.b2, p.t2), window)]
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        pytest.param([(construct_sco(ScoParams(2, 3)), UserSpec(2, 3), 20)], id="sco-2-3"),
+        pytest.param([(construct_sco(ScoParams(2, 3)), UserSpec(3, 3), 20)], id="overlong-3-3"),
+        pytest.param([(_sabotaged_sco_2_3(), UserSpec(2, 3), 20)], id="sabotaged"),
+        pytest.param(_multicast_cases((1, 2, 2, 4)), id="region-b-1224"),
+        pytest.param(_multicast_cases((2, 6, 2, 6)), id="gf256-2626"),
+    ],
+)
+def test_window_local_sweep_matches_whole_prefix_decode(cases):
+    for spec, user, window in cases:
+        assert verify_deadlines(spec, user, window) == _reference_verify_deadlines(spec, user, window)
+
+
+@pytest.mark.parametrize("guard", [0, 3])
+def test_window_local_guarded_sweep_matches_whole_prefix_decode(guard):
+    spec = construct_sco(ScoParams(2, 3))
+    user = UserSpec(2, 3)
+    got = verify_guarded_bursts(spec, user, guard=guard, window=10)
+    assert got == _reference_verify_guarded_bursts(spec, user, guard, 10)
+
+
+def test_verify_value_check_fires_on_a_wrong_stream(monkeypatch):
+    # the sweep decodes a stream encoded from other source data than the
+    # one it compares against: every deadline is met, the values are wrong
+    real_encode = channel_sim.encode
+
+    def other_source(spec, src, horizon):
+        return real_encode(spec, source_fill(spec.n_source, horizon, spec.field.size, 99), horizon)
+
+    spec = construct_sco(ScoParams(2, 3))
+    assert verify_deadlines(spec, UserSpec(2, 3), 20).passed
+    monkeypatch.setattr(channel_sim, "encode", other_source)
+    with pytest.raises(AssertionError, match="wrong value"):
+        verify_deadlines(spec, UserSpec(2, 3), 20)
 
 
 # -- decoder/oracle equivalence ------------------------------------------------

@@ -111,6 +111,17 @@ def test_verify_fail_exit_code(capsys, monkeypatch):
     assert "FAIL at burst start" in out
 
 
+def test_bad_spec_text_exits_invalid(capsys, monkeypatch):
+    # a spec read from text reaches the CLI's commands as a ValueError
+    import burstfec.cli as cli_mod
+    from burstfec.code_model import spec_from_text
+
+    monkeypatch.setattr(cli_mod, "_build_spec", lambda args: spec_from_text("field gf16\nsources 1\n"))
+    code, _, err = run(capsys, "verify", "--b1", "1", "--t1", "2")
+    assert code == EXIT_INVALID
+    assert "line 1: unknown field 'gf16'" in err
+
+
 def test_pec_counting_single_user(capsys):
     code, out, _ = run(capsys, "pec", "--b1", "2", "--t1", "3")
     assert code == 0

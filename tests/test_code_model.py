@@ -172,3 +172,17 @@ def test_text_round_trip_gf256_coefficients():
     back = spec_from_text(spec_to_text(spec))
     assert back.parity_rows == spec.parity_rows
     assert back.field == GF256
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("field gf16\nsources 1\nparity s0[i-1]\n", r"line 1: unknown field 'gf16'"),
+        ("sources 1\nparity x0[i-1]\n", r"line 2: bad tap 'x0\[i-1\]'"),
+        ("sources 1\n\nparity s0[i-2] + s0[i+1]\n", r"line 3: bad tap 's0\[i\+1\]'"),
+    ],
+    ids=["unknown-field", "not-a-source-row", "non-causal-tap"],
+)
+def test_text_parse_errors_name_the_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        spec_from_text(text)
