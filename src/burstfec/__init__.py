@@ -21,7 +21,6 @@ from .code_model import (
     concat_rows,
     encode,
     make_row,
-    rate,
     shift_rows,
     spec_from_text,
     spec_to_text,
@@ -55,7 +54,6 @@ from .channel_sim import (
     apply_channel,
     generic_decode,
     make_periodic,
-    make_single_burst,
     region_e_structured_decode,
     run_pec,
     verify_deadlines,

@@ -69,10 +69,6 @@ class Periodic:
 ErasurePattern = SingleBurst | Periodic
 
 
-def make_single_burst(start: int, length: int) -> SingleBurst:
-    return SingleBurst(start, length)
-
-
 def apply_channel(stream: Sequence[tuple], pattern: ErasurePattern) -> list:
     """Replace erased symbols with the erasure mark; pass the rest through."""
     return [ERASED if pattern.erased(t) else sym for t, sym in enumerate(stream)]
@@ -260,14 +256,16 @@ def verify_deadlines(
     user: UserSpec,
     window: int,
     seed: int = 0,
-    check_values: bool = True,
 ) -> VerifyResult:
     """Exhaustive single-burst sweep: every start in [memory, memory+window)
     and every burst length in [1, user.burst] must decode every erased source
     sub-symbol by its deadline t + user.delay (inclusive).
 
     Returns the first counterexample found, scanning starts in order.
+    Raises ``ValueError`` when ``window`` is below 1.
     """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     if user.burst == 0:
         return VerifyResult(True, 0)
     memory = spec.memory
@@ -288,7 +286,7 @@ def verify_deadlines(
                         trials,
                         Counterexample(start, length, (t, row), t + user.delay, when),
                     )
-                if check_values and value != src[t][row]:
+                if value != src[t][row]:
                     raise AssertionError(
                         f"decoder returned a wrong value at {(t, row)}: encoder bug"
                     )
@@ -603,8 +601,13 @@ def verify_guarded_bursts(
     Single-user codes tolerate repeated bursts once the guard reaches the
     decoding delay; nothing beyond the single-burst guarantee is promised for
     the multicast constructions, so this is exploratory tooling rather than
-    part of their contract.
+    part of their contract.  Raises ``ValueError`` when ``window`` is below 1
+    or ``guard`` is negative.
     """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if guard < 0:
+        raise ValueError(f"guard must be >= 0, got {guard}")
     if user.burst == 0:
         return VerifyResult(True, 0)
     memory = spec.memory

@@ -152,7 +152,7 @@ def cmd_verify(args) -> int:
     except (NonIntegerAlphaError, InfeasibleParamsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    window = args.window or 4 * max(spec.memory, 1)
+    window = 4 * max(spec.memory, 1) if args.window is None else args.window
     users = [UserSpec(args.b1, args.t1)]
     if args.b2 is not None:
         users.append(UserSpec(args.b2, args.t2))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .algebra import GF2, GF256, FieldSpec
@@ -51,15 +52,27 @@ class ParityRow:
         return max((t.delay for t in self.taps), default=0)
 
 
+@lru_cache(maxsize=None)
+def _canonical_tap(source_row: int, delay: int, coeff: int) -> Tap:
+    # Constructions repeat a few thousand distinct taps hundreds of
+    # thousands of times; a frozen Tap can be shared by every row holding it.
+    return Tap(source_row, delay, coeff)
+
+
 def make_row(taps: Iterable[Tap], field: FieldSpec = GF2) -> ParityRow:
     """Canonical parity row: merge taps on the same (row, delay), drop the
-    ones whose coefficients cancel, sort by (row, delay)."""
+    ones whose coefficients cancel, sort by (row, delay).  Equal taps of
+    rows built here are one shared object."""
+    size = field.size
     acc: dict[tuple[int, int], int] = {}
     for t in taps:
+        coeff = t.coeff
+        if not 0 <= coeff < size:
+            raise ValueError(f"value {coeff} outside GF(2^{field.order_exponent})")
         key = (t.source_row, t.delay)
-        acc[key] = field.add(acc.get(key, 0), field.check_value(t.coeff))
-    merged = [Tap(r, d, c) for (r, d), c in acc.items() if c]
-    return ParityRow(tuple(sorted(merged)))
+        acc[key] = acc.get(key, 0) ^ coeff  # characteristic 2: addition is XOR
+    # Keys are unique, so sorting the items orders by (row, delay) alone.
+    return ParityRow(tuple(_canonical_tap(r, d, c) for (r, d), c in sorted(acc.items()) if c))
 
 
 def combine_rows(a: ParityRow, b: ParityRow, field: FieldSpec = GF2) -> ParityRow:
@@ -143,10 +156,6 @@ class StreamingCodeSpec:
     @property
     def rate(self) -> Fraction:
         return Fraction(self.n_source, self.n_source + self.n_parity)
-
-
-def rate(spec: StreamingCodeSpec) -> Fraction:
-    return spec.rate
 
 
 SourceStream = Sequence[Sequence[int]]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import GF2, GF256, FieldSpec, IncrementalSolver
 
@@ -167,12 +168,17 @@ def candidate_patterns(B: int, T: int):
         yield "mod-pairing", _pattern_mod_pairing(B, T)
 
 
+@lru_cache(maxsize=None)
 def construct_ldbebc(B: int, T: int, field: FieldSpec | None = None) -> BlockCodeSpec:
     """Build a verified (T, B) block code.
 
     ``field=None`` (or GF(2)) tries the binary patterns and escalates to
     GF(2^8) only when none verifies; passing GF(2^8) explicitly skips the
     binary attempts.  Raises :class:`ConstructionError` when nothing passes.
+
+    Each (B, T, field) is built and verified once per process: the frozen
+    result is shared by every caller, while a failure is not cached and is
+    raised again on every call.
     """
     if not 1 <= B <= T:
         raise ConstructionError(f"infeasible block parameters B={B}, T={T}")

@@ -15,7 +15,6 @@ from burstfec.channel_sim import (
     apply_channel,
     generic_decode,
     make_periodic,
-    make_single_burst,
     run_pec,
     source_fill,
     verify_deadlines,
@@ -27,10 +26,10 @@ from burstfec.sco import ScoParams, construct_sco
 
 
 def test_single_burst_pattern():
-    p = make_single_burst(5, 2)
+    p = SingleBurst(5, 2)
     assert [t for t in range(10) if p.erased(t)] == [5, 6]
-    assert make_single_burst(0, 1).erased(0)
-    assert not make_single_burst(0, 1).erased(1)
+    assert SingleBurst(0, 1).erased(0)
+    assert not SingleBurst(0, 1).erased(1)
 
 
 def test_periodic_pattern_and_reveals():
@@ -373,3 +372,20 @@ def test_guarded_multi_burst_sweep_single_user():
     # back-to-back bursts exceed the design and must be caught
     spec = construct_sco(ScoParams(2, 3))
     assert not verify_guarded_bursts(spec, UserSpec(2, 3), guard=0, window=10).passed
+
+
+@pytest.mark.parametrize("window", [0, -3])
+def test_verify_deadlines_rejects_empty_window(window):
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        verify_deadlines(construct_sco(ScoParams(2, 3)), UserSpec(2, 3), window)
+
+
+@pytest.mark.parametrize("window", [0, -3])
+def test_guarded_sweep_rejects_empty_window(window):
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        verify_guarded_bursts(construct_sco(ScoParams(2, 3)), UserSpec(2, 3), guard=3, window=window)
+
+
+def test_guarded_sweep_rejects_negative_guard():
+    with pytest.raises(ValueError, match="guard must be >= 0"):
+        verify_guarded_bursts(construct_sco(ScoParams(2, 3)), UserSpec(2, 3), guard=-1, window=10)

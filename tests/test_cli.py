@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from burstfec.cli import EXIT_INVALID, EXIT_OPEN_CAPACITY, EXIT_VERIFY_FAIL, main
 
 
@@ -120,6 +122,14 @@ def test_bad_spec_text_exits_invalid(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--b1", "1", "--t1", "2")
     assert code == EXIT_INVALID
     assert "line 1: unknown field 'gf16'" in err
+
+
+@pytest.mark.parametrize("window", ["-3", "0"])
+def test_verify_empty_window_exits_invalid(capsys, window):
+    code, out, err = run(capsys, "verify", "--b1", "2", "--t1", "3", "--window", window)
+    assert code == EXIT_INVALID
+    assert err.startswith("error: ") and "window" in err
+    assert "PASS" not in out
 
 
 def test_pec_counting_single_user(capsys):

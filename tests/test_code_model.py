@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +67,22 @@ def test_combine_gf256_coefficients_add():
     a = make_row([Tap(0, 1, 3)], GF256)
     b = make_row([Tap(0, 1, 1)], GF256)
     assert combine_rows(a, b, GF256).taps == (Tap(0, 1, 2),)
+
+
+def test_make_row_sorts_merges_and_cancels():
+    taps = [Tap(2, 0, 5), Tap(0, 3, 1), Tap(1, 1, 4), Tap(0, 1, 7)]
+    taps += [Tap(2, 0, 5), Tap(1, 1, 6), Tap(0, 3, 1), Tap(0, 1, 2)]
+    random.Random(3).shuffle(taps)
+    # (2, 0) and (0, 3) cancel; (1, 1) merges to 4 ^ 6; (0, 1) merges to 7 ^ 2
+    assert make_row(taps, GF256).taps == (Tap(0, 1, 5), Tap(1, 1, 2))
+    with pytest.raises(ValueError, match="outside GF"):
+        make_row([Tap(0, 1, 2)])
+
+
+def test_equal_taps_of_separate_rows_are_shared():
+    a = make_row([Tap(0, 4, 1), Tap(3, 2, 1)])
+    b = combine_rows(make_row([Tap(3, 2, 1)]), make_row([Tap(1, 9, 1)]))
+    assert a.taps[1] is b.taps[1]
 
 
 def test_concat_rows():

@@ -1,5 +1,9 @@
+import itertools
+from collections import Counter
+
 import pytest
 
+from burstfec import ldbebc, musco
 from burstfec.algebra import GF2, GF256
 from burstfec.ldbebc import (
     BlockCodeSpec,
@@ -67,6 +71,37 @@ def test_escalation_to_gf256_when_binary_fails():
     assert verify_ldbebc(spec).ok
     with pytest.raises(ConstructionError):
         construct_ldbebc(2, 6, GF2)
+
+
+def test_construction_error_raised_on_every_call():
+    # a failure is not cached: each repeat call searches and raises again
+    for _ in range(3):
+        with pytest.raises(ConstructionError):
+            construct_ldbebc(2, 6, GF2)
+
+
+def test_each_block_candidate_verified_once_across_the_grid(monkeypatch):
+    # Building every constructible point <= 8 reuses each (B, T) block code,
+    # so no candidate pattern of any (B, T) is verified twice.
+    counts = Counter()
+    real = ldbebc.verify_ldbebc
+
+    def counting(spec, burst_len=None):
+        counts[(spec.B, spec.T, spec.pattern)] += 1
+        return real(spec, burst_len)
+
+    monkeypatch.setattr(ldbebc, "verify_ldbebc", counting)
+    construct_ldbebc.cache_clear()
+    musco.construct.cache_clear()
+    musco.region_e_plan.cache_clear()
+    built = 0
+    for pt in itertools.product(range(1, 9), repeat=4):
+        p = musco.MulticastParams(*pt)
+        if p.b1 <= p.b2 and musco.constructible(p):
+            musco.construct(p)
+            built += 1
+    assert built > 0 and counts
+    assert max(counts.values()) == 1, counts.most_common(3)
 
 
 def test_infeasible_parameters_rejected():
