@@ -11,7 +11,7 @@ Core surface:
 - :mod:`burstfec.cli` -- command-line front end
 """
 
-from .algebra import GF2, GF256, FieldElement, FieldSpec, LinearSystem, solve
+from .algebra import GF2, GF256, FieldSpec
 from .code_model import (
     ParityRow,
     StreamingCodeSpec,

@@ -17,10 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
-class MismatchedFieldError(ValueError):
-    """Two operands belong to different field specs."""
-
-
 class InconsistentSystemError(ValueError):
     """A linear system contradicts itself (0 = nonzero after reduction)."""
 
@@ -70,11 +66,6 @@ class FieldSpec:
     @property
     def size(self) -> int:
         return 1 << self.order_exponent
-
-    def check_value(self, value: int) -> int:
-        if not 0 <= value < self.size:
-            raise ValueError(f"value {value} outside GF(2^{self.order_exponent})")
-        return value
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
@@ -146,39 +137,6 @@ GF2 = FieldSpec(1)
 GF256 = FieldSpec(8, 0x11D)
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A value tied to its field; arithmetic checks the specs match."""
-
-    field: FieldSpec
-    value: int
-
-    def __post_init__(self) -> None:
-        self.field.check_value(self.value)
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.field != other.field:
-            raise MismatchedFieldError(f"{self.field} vs {other.field}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.value, other.value))
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
-
-
-def field_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def field_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
 class IncrementalSolver:
     """Reduced-row-echelon elimination accepting equations one at a time.
 
@@ -186,6 +144,11 @@ class IncrementalSolver:
     stays in RREF, so an unknown is uniquely determined exactly when its
     pivot row has singleton support.  ``add_equation`` returns the unknowns
     that became determined because of that equation.
+
+    A pivot row changes only when an equation's new pivot column is
+    eliminated from it, and a singleton row never holds another pivot's
+    column, so the fresh singletons are found among the rows an equation
+    touches plus its own new row; the other rows need no rescan.
 
     GF(2) rows are stored as int bitmasks (column j <-> bit j); larger
     fields use sparse coefficient dicts with the pivot normalized to 1.
@@ -195,16 +158,12 @@ class IncrementalSolver:
         self.field = field
         self._binary = field.order_exponent == 1
         self._pivots: dict[int, tuple] = {}  # col -> (row, rhs)
-        self._determined: dict[int, int] = {}
-
-    @property
-    def determined(self) -> dict[int, int]:
-        return self._determined
 
     def add_equation(self, coeffs, rhs: int) -> list[tuple[int, int]]:
         """Insert one equation; ``coeffs`` maps column -> nonzero coefficient.
 
-        For GF(2) an int bitmask is also accepted.  Raises
+        For GF(2) an int bitmask is also accepted.  Returns ``(col, value)``
+        per newly determined unknown, in pivot insertion order.  Raises
         :class:`InconsistentSystemError` when the equation contradicts the
         current span.
         """
@@ -217,7 +176,7 @@ class IncrementalSolver:
     def _add_binary(self, mask, rhs: int) -> list[tuple[int, int]]:
         if not isinstance(mask, int):
             m = 0
-            for col, coeff in (mask.items() if isinstance(mask, dict) else mask):
+            for col, coeff in mask.items():
                 if coeff & 1:
                     m ^= 1 << col
             mask = m
@@ -242,18 +201,17 @@ class IncrementalSolver:
             return []
         col = (mask & -mask).bit_length() - 1
         bit = 1 << col
+        fresh = []
         for c, (pm, pr) in list(pivots.items()):
             if pm & bit:
-                pivots[c] = (pm ^ mask, pr ^ rhs)
+                pm ^= mask
+                pr ^= rhs
+                pivots[c] = (pm, pr)
+                if pm & (pm - 1) == 0:
+                    fresh.append((c, pr))
         pivots[col] = (mask, rhs)
-        return self._collect_new_singletons_binary()
-
-    def _collect_new_singletons_binary(self) -> list[tuple[int, int]]:
-        fresh = []
-        for col, (pm, pr) in self._pivots.items():
-            if col not in self._determined and pm & (pm - 1) == 0:
-                self._determined[col] = pr
-                fresh.append((col, pr))
+        if mask == bit:
+            fresh.append((col, rhs))
         return fresh
 
     # -- generic GF(2^m) path ----------------------------------------------
@@ -282,6 +240,7 @@ class IncrementalSolver:
         inv = f.inv(row[col])
         row = {c: f.mul(inv, v) for c, v in row.items()}
         rhs = f.mul(inv, rhs)
+        fresh = []
         for c, (prow, prhs) in list(pivots.items()):
             factor = prow.get(col, 0)
             if factor:
@@ -292,43 +251,11 @@ class IncrementalSolver:
                         nrow[cc] = nv
                     elif cc in nrow:
                         del nrow[cc]
-                pivots[c] = (nrow, f.add(prhs, f.mul(factor, rhs)))
+                nrhs = f.add(prhs, f.mul(factor, rhs))
+                pivots[c] = (nrow, nrhs)
+                if len(nrow) == 1:
+                    fresh.append((c, nrhs))
         pivots[col] = (row, rhs)
-        return self._collect_new_singletons_generic()
-
-    def _collect_new_singletons_generic(self) -> list[tuple[int, int]]:
-        fresh = []
-        for col, (prow, prhs) in self._pivots.items():
-            if col not in self._determined and len(prow) == 1:
-                self._determined[col] = prhs
-                fresh.append((col, prhs))
+        if len(row) == 1:
+            fresh.append((col, rhs))
         return fresh
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """Rows of (coefficients, rhs) over named unknowns."""
-
-    field: FieldSpec
-    labels: tuple
-    rows: tuple  # of (tuple_of_coeffs, rhs)
-
-    def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("unknown labels must be unique")
-        for coeffs, _ in self.rows:
-            if len(coeffs) != len(self.labels):
-                raise ValueError("row width does not match label count")
-
-
-def solve(system: LinearSystem) -> dict:
-    """Gaussian elimination; determined unknowns map to their value, the
-    rest to ``None``.  Raises :class:`InconsistentSystemError` on
-    contradictory rows."""
-    solver = IncrementalSolver(system.field)
-    for coeffs, rhs in system.rows:
-        row = {j: c for j, c in enumerate(coeffs) if c}
-        if row or rhs:
-            solver.add_equation(row, rhs)
-    det = solver.determined
-    return {label: det.get(j) for j, label in enumerate(system.labels)}

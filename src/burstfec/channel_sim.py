@@ -12,7 +12,7 @@ sweeps in here usable as acceptance oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .algebra import IncrementalSolver
 from .code_model import StreamingCodeSpec, encode
@@ -101,13 +101,6 @@ class DecodeReport:
 
     def erased_entries(self):
         return ((key, rep) for key, rep in self.entries.items() if rep.erased)
-
-    def user_violations(self, deadline: int) -> list[tuple[int, int]]:
-        bad = []
-        for (t, row), rep in self.entries.items():
-            if rep.erased and (rep.recovery_time is None or rep.recovery_time > t + deadline):
-                bad.append((t, row))
-        return sorted(bad)
 
     def to_csv_rows(self) -> list[tuple]:
         rows = []
@@ -251,6 +244,41 @@ class VerifyResult:
     counterexample: Optional[Counterexample] = None
 
 
+def _sweep(
+    spec: StreamingCodeSpec,
+    user: UserSpec,
+    horizon: int,
+    seed: int,
+    trials: Iterable[tuple[int, int, Sequence[int], int]],
+) -> VerifyResult:
+    """Decode each ``(start, length, erased_times, last_time)`` trial on one
+    encoded stream of ``horizon`` steps and check every erased source
+    sub-symbol against its deadline t + user.delay and its true value.
+
+    ``last_time`` is the last step whose equations the trial reads: those
+    arriving after the last deadline cannot help meet it.  Returns the first
+    counterexample, in trial order.
+    """
+    src = source_fill(spec.n_source, horizon, spec.field.size, seed)
+    channel = encode(spec, src, horizon)
+    count = 0
+    for start, length, erased_times, last_time in trials:
+        count += 1
+        decoded = _eliminate(spec, channel, erased_times, last_time + 1)
+        for (t, row), (when, value) in decoded.items():
+            if when is None or when > t + user.delay:
+                return VerifyResult(
+                    False,
+                    count,
+                    Counterexample(start, length, (t, row), t + user.delay, when),
+                )
+            if value != src[t][row]:
+                raise AssertionError(
+                    f"decoder returned a wrong value at {(t, row)}: encoder bug"
+                )
+    return VerifyResult(True, count)
+
+
 def verify_deadlines(
     spec: StreamingCodeSpec,
     user: UserSpec,
@@ -269,28 +297,13 @@ def verify_deadlines(
     if user.burst == 0:
         return VerifyResult(True, 0)
     memory = spec.memory
+    trials = (
+        (start, length, range(start, start + length), start + length + user.delay)
+        for start in range(memory, memory + window)
+        for length in range(1, user.burst + 1)
+    )
     horizon = memory + window + user.burst + user.delay + 1
-    src = source_fill(spec.n_source, horizon, spec.field.size, seed)
-    channel = encode(spec, src, horizon)
-    trials = 0
-    for start in range(memory, memory + window):
-        for length in range(1, user.burst + 1):
-            trials += 1
-            # Equations after the last deadline cannot help meet it.
-            h = min(horizon, start + length + user.delay + 1)
-            decoded = _eliminate(spec, channel, range(start, start + length), h)
-            for (t, row), (when, value) in decoded.items():
-                if when is None or when > t + user.delay:
-                    return VerifyResult(
-                        False,
-                        trials,
-                        Counterexample(start, length, (t, row), t + user.delay, when),
-                    )
-                if value != src[t][row]:
-                    raise AssertionError(
-                        f"decoder returned a wrong value at {(t, row)}: encoder bug"
-                    )
-    return VerifyResult(True, trials)
+    return _sweep(spec, user, horizon, seed, trials)
 
 
 # -- periodic-erasure-channel schedules ---------------------------------------
@@ -371,7 +384,10 @@ def run_pec(
     counting argument: an erased symbol counts twice when the fast code
     already pinned it down by t + T1 *and* its direct repetition copy at
     t + T2 arrives unerased, so either decoder alone would have produced it.
+    Raises ``ValueError`` when ``periods`` is below 1.
     """
+    if periods < 1:
+        raise ValueError(f"periods must be >= 1, got {periods}")
     horizon = periods * pattern.period + spec.memory + 1
     src = source_fill(spec.n_source, horizon, spec.field.size, seed)
     channel = encode(spec, src, horizon)
@@ -610,24 +626,11 @@ def verify_guarded_bursts(
         raise ValueError(f"guard must be >= 0, got {guard}")
     if user.burst == 0:
         return VerifyResult(True, 0)
-    memory = spec.memory
-    span = 2 * user.burst + guard + 2
-    horizon = memory + window + span + user.delay + 1
-    src = source_fill(spec.n_source, horizon, spec.field.size, seed)
-    channel = encode(spec, src, horizon)
-    trials = 0
-    for start in range(memory, memory + window):
-        for gap in (guard, guard + 1):
-            trials += 1
-            second = start + user.burst + gap
-            erased = sorted({*range(start, start + user.burst), *range(second, second + user.burst)})
-            h = min(horizon, second + user.burst + user.delay + 1)
-            decoded = _eliminate(spec, channel, erased, h)
-            for (t, row), (when, _) in decoded.items():
-                if when is None or when > t + user.delay:
-                    return VerifyResult(
-                        False,
-                        trials,
-                        Counterexample(start, user.burst, (t, row), t + user.delay, when),
-                    )
-    return VerifyResult(True, trials)
+    memory, b = spec.memory, user.burst
+    trials = (
+        (start, b, [*range(start, start + b), *range(second, second + b)], second + b + user.delay)
+        for start in range(memory, memory + window)
+        for second in (start + b + guard, start + b + guard + 1)
+    )
+    horizon = memory + window + 2 * b + guard + 2 + user.delay + 1
+    return _sweep(spec, user, horizon, seed, trials)

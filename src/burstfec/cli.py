@@ -1,7 +1,8 @@
 """Command-line front end: classify, capacity tables, build, verify, pec.
 
 Exit codes: 0 success, 2 verification failure, 3 open-capacity refusal,
-4 invalid parameters.
+4 invalid parameters.  Commands raise; ``main`` alone maps an
+``UnknownRegionError`` to 3 and any other ``ValueError`` to 4.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .channel_sim import UserSpec, make_periodic, run_pec, verify_deadlines
 from .code_model import spec_to_text
 from .musco import (
     MulticastParams,
-    NonIntegerAlphaError,
     Region,
     UnknownRegionError,
     capacity,
@@ -29,7 +29,7 @@ from .musco import (
     upper_bound_cu,
     upper_bound_pec,
 )
-from .sco import InfeasibleParamsError, ScoParams, construct_sco
+from .sco import ScoParams, construct_sco
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 2
@@ -99,11 +99,12 @@ def _capacity_row(p: MulticastParams):
 def cmd_capacity(args) -> int:
     header = ("b1", "t1", "b2", "t2", "region", "capacity", "pec_bound", "cu_bound",
               "best_bound", "construction")
-    if not args.sweep and (args.b2 is None or args.t2 is None):
-        print("error: capacity needs --b2/--t2 or --sweep", file=sys.stderr)
-        return EXIT_INVALID
-    if args.sweep:
+    if args.sweep is None and (args.b2 is None or args.t2 is None):
+        raise ValueError("capacity needs --b2/--t2 or --sweep")
+    if args.sweep is not None:
         n = args.sweep
+        if n < 1:
+            raise ValueError(f"sweep must be >= 1, got {n}")
         rows = []
         for b1 in range(1, n + 1):
             for t1 in range(b1, n + 1):
@@ -131,27 +132,12 @@ def _build_spec(args):
 
 
 def cmd_build(args) -> int:
-    try:
-        spec = _build_spec(args)
-    except UnknownRegionError as exc:
-        print(f"error: capacity open: {exc}", file=sys.stderr)
-        return EXIT_OPEN_CAPACITY
-    except (NonIntegerAlphaError, InfeasibleParamsError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    _emit(args, spec_to_text(spec))
+    _emit(args, spec_to_text(_build_spec(args)))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        spec = _build_spec(args)
-    except UnknownRegionError as exc:
-        print(f"error: capacity open: {exc}", file=sys.stderr)
-        return EXIT_OPEN_CAPACITY
-    except (NonIntegerAlphaError, InfeasibleParamsError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    spec = _build_spec(args)
     window = 4 * max(spec.memory, 1) if args.window is None else args.window
     users = [UserSpec(args.b1, args.t1)]
     if args.b2 is not None:
@@ -195,31 +181,23 @@ _PEC_AUTO = {
 
 
 def cmd_pec(args) -> int:
-    try:
-        if args.b2 is None:
-            spec = construct_sco(ScoParams(args.b1, args.t1))
-            pattern = make_periodic("single_user", (args.b1, args.t1))
-            double_rule = None
-        else:
-            p = _params(args)
-            variant = args.variant
-            if variant == "auto":
-                region = classify(p)
-                if region not in _PEC_AUTO:
-                    print(f"error: no periodic schedule for region {region.value}", file=sys.stderr)
-                    return EXIT_INVALID
-                variant = _PEC_AUTO[region]
-                if variant == "multicast_caseA" and p.t2 <= p.t1 + p.b1:
-                    variant = "multicast_caseB"
-            spec = construct(p)
-            pattern = make_periodic(variant, p)
-            double_rule = (p.t1, p.t2) if variant == "region_f_T2B2" else None
-    except UnknownRegionError as exc:
-        print(f"error: capacity open: {exc}", file=sys.stderr)
-        return EXIT_OPEN_CAPACITY
-    except (NonIntegerAlphaError, InfeasibleParamsError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    if args.b2 is None:
+        spec = construct_sco(ScoParams(args.b1, args.t1))
+        pattern = make_periodic("single_user", (args.b1, args.t1))
+        double_rule = None
+    else:
+        p = _params(args)
+        variant = args.variant
+        if variant == "auto":
+            region = classify(p)
+            if region not in _PEC_AUTO:
+                raise ValueError(f"no periodic schedule for region {region.value}")
+            variant = _PEC_AUTO[region]
+            if variant == "multicast_caseA" and p.t2 <= p.t1 + p.b1:
+                variant = "multicast_caseB"
+        spec = construct(p)
+        pattern = make_periodic(variant, p)
+        double_rule = (p.t1, p.t2) if variant == "region_f_T2B2" else None
     result = run_pec(spec, pattern, periods=args.periods, double_rule=double_rule)
     rows = result.report.to_csv_rows()
     for summary in result.summaries:
@@ -294,6 +272,9 @@ def main(argv=None) -> int:
         parser.error("--b2 requires --t2")
     try:
         return args.func(args)
+    except UnknownRegionError as exc:
+        print(f"error: capacity open: {exc}", file=sys.stderr)
+        return EXIT_OPEN_CAPACITY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -44,10 +44,6 @@ class ParityRow:
         return ParityRow(tuple(Tap(t.source_row, t.delay + delta, t.coeff) for t in self.taps))
 
     @property
-    def min_delay(self) -> int:
-        return min((t.delay for t in self.taps), default=0)
-
-    @property
     def max_delay(self) -> int:
         return max((t.delay for t in self.taps), default=0)
 
@@ -144,10 +140,6 @@ class StreamingCodeSpec:
     @property
     def n_parity(self) -> int:
         return len(self.parity_rows)
-
-    @property
-    def n_rows(self) -> int:
-        return self.n_source + self.n_parity
 
     @property
     def memory(self) -> int:

@@ -420,14 +420,6 @@ class RegionEPlan:
     def t3(self) -> int:
         return self.params.b1 - self.k
 
-    @property
-    def w_count(self) -> int:
-        return self.t3
-
-    def layer_offsets(self) -> tuple[int, int, int]:
-        """Parity-row indices where layers 2, 3, 4 start."""
-        return 0, self.k, self.params.b1
-
     def to_spec(self) -> StreamingCodeSpec:
         p = self.params
         t3 = self.t3

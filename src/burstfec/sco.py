@@ -21,10 +21,6 @@ from .algebra import FieldSpec
 from .code_model import ParityRow, StreamingCodeSpec, Tap, make_row
 from .ldbebc import BlockCodeSpec, construct_ldbebc
 
-MAIN = "main-diagonal"
-OPPOSITE = "opposite-diagonal"
-
-
 class InfeasibleParamsError(ValueError):
     """Requested a code outside its feasibility region (T < B)."""
 
@@ -40,7 +36,6 @@ class ScoParams:
 
     burst: int
     delay: int
-    direction: str = MAIN
     interleave_factor: int = 1
 
     def __post_init__(self) -> None:
@@ -50,8 +45,6 @@ class ScoParams:
             raise InfeasibleParamsError(
                 f"delay {self.delay} below burst {self.burst}: capacity is zero"
             )
-        if self.direction not in (MAIN, OPPOSITE):
-            raise InfeasibleParamsError(f"unknown direction {self.direction!r}")
 
 
 def single_user_capacity(B: int, T: int) -> Fraction:
@@ -103,16 +96,7 @@ def opposite_diagonal_rows(
 
 
 def construct_sco(params: ScoParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
-    """Diagonally-interleaved block code as a streaming spec.
-
-    Opposite-diagonal parity streams are building blocks, not standalone
-    codes (their rows are combined with a main stream by the multicast
-    constructions), so this constructor only accepts the main direction.
-    """
-    if params.direction != MAIN:
-        raise InfeasibleParamsError(
-            "opposite-diagonal streams are built by the multicast constructions"
-        )
+    """Diagonally-interleaved block code as a streaming spec."""
     block = construct_ldbebc(params.burst, params.delay, field)
     rows = main_diagonal_rows(block, params.interleave_factor)
     a = params.interleave_factor

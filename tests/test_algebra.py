@@ -8,15 +8,10 @@ from hypothesis import strategies as st
 from burstfec.algebra import (
     GF2,
     GF256,
-    FieldElement,
     FieldSpec,
+    IncrementalSolver,
     InconsistentSystemError,
-    LinearSystem,
-    MismatchedFieldError,
     _gf_mul,
-    field_add,
-    field_mul,
-    solve,
 )
 
 
@@ -90,27 +85,30 @@ def test_reducible_polynomial_rejected():
         FieldSpec(4, 0x11D)  # degree mismatch
 
 
-def test_field_element_mismatch():
-    with pytest.raises(MismatchedFieldError):
-        field_add(FieldElement(GF2, 1), FieldElement(GF256, 1))
-    assert field_mul(FieldElement(GF256, 3), FieldElement(GF256, 7)).value == GF256.mul(3, 7)
+def _solve(field, rows, n):
+    """Feed dense (coeffs, rhs) rows to one solver: determined unknowns map
+    to the value ``add_equation`` reported for them, the rest to None."""
+    solver = IncrementalSolver(field)
+    determined = {}
+    for coeffs, rhs in rows:
+        for col, value in solver.add_equation({j: c for j, c in enumerate(coeffs) if c}, rhs):
+            assert col not in determined, "an unknown was reported twice"
+            determined[col] = value
+    return {j: determined.get(j) for j in range(n)}
 
 
 def test_solve_back_substitution():
     # x + y = 1, y = 1 over GF(2)
-    sys_ = LinearSystem(GF2, ("x", "y"), (((1, 1), 1), ((0, 1), 1)))
-    assert solve(sys_) == {"x": 0, "y": 1}
+    assert _solve(GF2, [((1, 1), 1), ((0, 1), 1)], 2) == {0: 0, 1: 1}
 
 
 def test_solve_rank_deficiency():
-    sys_ = LinearSystem(GF2, ("x", "y"), (((1, 1), 1),))
-    assert solve(sys_) == {"x": None, "y": None}
+    assert _solve(GF2, [((1, 1), 1)], 2) == {0: None, 1: None}
 
 
 def test_solve_inconsistent_raises():
-    sys_ = LinearSystem(GF2, ("x",), (((1,), 0), ((1,), 1)))
     with pytest.raises(InconsistentSystemError):
-        solve(sys_)
+        _solve(GF2, [((1,), 0), ((1,), 1)], 1)
 
 
 def _brute_force_determined(rows, n):
@@ -138,8 +136,7 @@ def test_solve_matches_exhaustive_enumeration_on_random_systems():
             coeffs = tuple(rng.randint(0, 1) for _ in range(n))
             rhs = sum(c * x for c, x in zip(coeffs, truth)) % 2
             rows.append((coeffs, rhs))
-        labels = tuple(range(n))
-        got = solve(LinearSystem(GF2, labels, tuple(rows)))
+        got = _solve(GF2, rows, n)
         want = _brute_force_determined(rows, n)
         assert got == want
 
@@ -154,10 +151,51 @@ def test_solve_full_rank_random_square_system():
         for _ in range(n):
             coeffs = tuple(rng.randint(0, 1) for _ in range(n))
             rows.append((coeffs, sum(c * x for c, x in zip(coeffs, truth)) % 2))
-        got = solve(LinearSystem(GF2, tuple(range(n)), tuple(rows)))
+        got = _solve(GF2, rows, n)
         if all(v is not None for v in got.values()):
             found += 1
             assert [got[j] for j in range(n)] == truth
             # substituting back satisfies every row exactly
             for coeffs, rhs in rows:
                 assert sum(c * got[j] for j, c in enumerate(coeffs)) % 2 == rhs
+
+
+def _rescan(solver, seen):
+    """The full-pivot rescan ``add_equation`` once ran after every equation:
+    every singleton pivot row not reported before, in pivot order."""
+    fresh = []
+    for col, (row, rhs) in solver._pivots.items():
+        single = row & (row - 1) == 0 if isinstance(row, int) else len(row) == 1
+        if single and col not in seen:
+            seen.add(col)
+            fresh.append((col, rhs))
+    return fresh
+
+
+@pytest.mark.parametrize("field", [GF2, GF256], ids=["gf2", "gf256"])
+def test_add_equation_reports_what_a_full_rescan_finds(field):
+    rng = random.Random(field.size)
+    kinds = set()
+    for trial in range(300):
+        n = rng.randint(1, 10)
+        truth = [rng.randrange(field.size) for _ in range(n)]
+        consistent = trial % 3 != 0
+        solver, seen = IncrementalSolver(field), set()
+        for _ in range(rng.randint(0, n + 3)):
+            support = rng.sample(range(n), rng.randint(1, min(n, 4)))
+            row = {j: rng.randrange(1, field.size) for j in support}
+            rhs = 0
+            for j, c in row.items():
+                rhs ^= field.mul(c, truth[j])
+            if not consistent and rng.random() < 0.3:
+                rhs ^= rng.randrange(1, field.size)
+            if field is GF2 and rng.random() < 0.5:
+                row = sum(1 << j for j in row)  # the bitmask form
+            try:
+                got = solver.add_equation(row, rhs)
+            except InconsistentSystemError:
+                kinds.add("inconsistent")
+                got = []
+            assert got == _rescan(solver, seen)
+        kinds.add("full rank" if len(seen) == n else "rank deficient")
+    assert kinds == {"inconsistent", "full rank", "rank deficient"}

@@ -181,7 +181,15 @@ def test_window_local_guarded_sweep_matches_whole_prefix_decode(guard):
     assert got == _reference_verify_guarded_bursts(spec, user, guard, 10)
 
 
-def test_verify_value_check_fires_on_a_wrong_stream(monkeypatch):
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda spec: verify_deadlines(spec, UserSpec(2, 3), 20),
+        lambda spec: verify_guarded_bursts(spec, UserSpec(2, 3), guard=3, window=20),
+    ],
+    ids=["verify_deadlines", "verify_guarded_bursts"],
+)
+def test_verify_value_check_fires_on_a_wrong_stream(monkeypatch, sweep):
     # the sweep decodes a stream encoded from other source data than the
     # one it compares against: every deadline is met, the values are wrong
     real_encode = channel_sim.encode
@@ -190,10 +198,10 @@ def test_verify_value_check_fires_on_a_wrong_stream(monkeypatch):
         return real_encode(spec, source_fill(spec.n_source, horizon, spec.field.size, 99), horizon)
 
     spec = construct_sco(ScoParams(2, 3))
-    assert verify_deadlines(spec, UserSpec(2, 3), 20).passed
+    assert sweep(spec).passed
     monkeypatch.setattr(channel_sim, "encode", other_source)
     with pytest.raises(AssertionError, match="wrong value"):
-        verify_deadlines(spec, UserSpec(2, 3), 20)
+        sweep(spec)
 
 
 # -- decoder/oracle equivalence ------------------------------------------------

@@ -45,6 +45,18 @@ def test_capacity_open_point_json(capsys):
     assert row["best_bound"] == "3/7"  # the region-f bound, tighter than C^U here
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--sweep", "-3"), ("--b2", "2", "--t2", "4", "--sweep", "0")],
+    ids=["negative", "zero-with-point"],
+)
+def test_capacity_bad_sweep_exits_invalid(capsys, argv):
+    code, out, err = run(capsys, "capacity", "--b1", "1", "--t1", "2", *argv)
+    assert code == EXIT_INVALID
+    assert err == f"error: sweep must be >= 1, got {argv[-1]}\n"
+    assert out == ""
+
+
 def test_capacity_sweep_bounds_dominate(capsys):
     from fractions import Fraction
 
@@ -73,10 +85,15 @@ def test_build_single_user(capsys):
     assert "parity s0[i-3] + s2[i-1]" in out
 
 
-def test_build_open_region_refused(capsys):
-    code, _, err = run(capsys, "build", "--b1", "3", "--t1", "4", "--b2", "5", "--t2", "6")
+@pytest.mark.parametrize(
+    "command", [("build",), ("verify",), ("pec", "--variant", "multicast_caseB")],
+    ids=["build", "verify", "pec"],
+)
+def test_build_open_region_refused(capsys, command):
+    code, out, err = run(capsys, *command, "--b1", "3", "--t1", "4", "--b2", "5", "--t2", "6")
     assert code == EXIT_OPEN_CAPACITY
-    assert "open" in err
+    assert err.startswith("error: capacity open:")
+    assert out == ""
 
 
 def test_build_non_integer_alpha(capsys):
@@ -143,6 +160,14 @@ def test_pec_region_f_double_count(capsys):
     assert code == 0
     assert "(+1 double)" in out
     assert "ratio 3/8" in out
+
+
+@pytest.mark.parametrize("periods", ["0", "-2"])
+def test_pec_bad_periods_exits_invalid(capsys, periods):
+    code, out, err = run(capsys, "pec", "--b1", "2", "--t1", "3", "--periods", periods)
+    assert code == EXIT_INVALID
+    assert err == f"error: periods must be >= 1, got {periods}\n"
+    assert out == ""
 
 
 def test_pec_csv_out(tmp_path, capsys):
