@@ -17,8 +17,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
-class InconsistentSystemError(ValueError):
-    """A linear system contradicts itself (0 = nonzero after reduction)."""
+class InconsistentSystemError(ArithmeticError):
+    """A linear system contradicts itself (0 = nonzero after reduction).
+
+    Not a ``ValueError``: the decoders only ever solve equations read from
+    burstfec's own encoded streams, so a contradiction there is a fault in
+    the program, not invalid input.
+    """
 
 
 def _is_irreducible(poly: int, m: int) -> bool:
@@ -42,6 +47,18 @@ class FieldSpec:
     """GF(2^m) description: ``order_exponent`` m and a reduction polynomial.
 
     The polynomial is an integer bitmask with bit m set (ignored for m=1).
+
+    For m > 1 the log/antilog tables built at construction are exposed as
+    read-only attributes, for inner loops that cannot afford a method call
+    per coefficient:
+
+    - ``exp``: the antilog table, ``exp[i]`` = g^i for a generator g, twice
+      the group order long, so ``exp[log[a] + log[b]]`` is ``a*b`` and
+      ``exp[(2^m - 1) - log[a]]`` is ``1/a``, with no reduction;
+    - ``log``: ``log[a]`` for nonzero ``a``.  ``log[0]`` is a placeholder
+      with no meaning, so callers must test for zero themselves.
+
+    ``mul`` and ``inv`` are the reference these uses are tested against.
     """
 
     order_exponent: int = 1
@@ -60,8 +77,8 @@ class FieldSpec:
             if not _is_irreducible(poly, m):
                 raise ValueError(f"reduction polynomial 0x{poly:X} is reducible")
             exp, log = _log_tables(m, poly)
-            object.__setattr__(self, "_exp", exp)
-            object.__setattr__(self, "_log", log)
+            object.__setattr__(self, "exp", exp)
+            object.__setattr__(self, "log", log)
 
     @property
     def size(self) -> int:
@@ -78,14 +95,14 @@ class FieldSpec:
             return a & b
         if a == 0 or b == 0:
             return 0
-        return self._exp[self._log[a] + self._log[b]]
+        return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         if self.order_exponent == 1:
             return 1
-        return self._exp[self.size - 1 - self._log[a]]
+        return self.exp[self.size - 1 - self.log[a]]
 
     def pow(self, a: int, n: int) -> int:
         result = 1
@@ -148,7 +165,10 @@ class IncrementalSolver:
     A pivot row changes only when an equation's new pivot column is
     eliminated from it, and a singleton row never holds another pivot's
     column, so the fresh singletons are found among the rows an equation
-    touches plus its own new row; the other rows need no rescan.
+    touches plus its own new row; the other rows need no rescan.  For the
+    same reason a singleton row never changes again, so the GF(2^m) path
+    looks for touched rows only among the pivots whose rows are not yet
+    singletons, kept in pivot order.
 
     GF(2) rows are stored as int bitmasks (column j <-> bit j); larger
     fields use sparse coefficient dicts with the pivot normalized to 1.
@@ -158,9 +178,13 @@ class IncrementalSolver:
         self.field = field
         self._binary = field.order_exponent == 1
         self._pivots: dict[int, tuple] = {}  # col -> (row, rhs)
+        # GF(2^m): pivot columns whose rows are not singletons, in pivot
+        # order (a dict used as an ordered set).
+        self._unresolved: dict[int, None] = {}
 
     def add_equation(self, coeffs, rhs: int) -> list[tuple[int, int]]:
-        """Insert one equation; ``coeffs`` maps column -> nonzero coefficient.
+        """Insert one equation; ``coeffs`` maps column -> coefficient, and a
+        zero coefficient is the same as an absent column.
 
         For GF(2) an int bitmask is also accepted.  Returns ``(col, value)``
         per newly determined unknown, in pivot insertion order.  Raises
@@ -169,7 +193,10 @@ class IncrementalSolver:
         """
         if self._binary:
             return self._add_binary(coeffs, rhs)
-        return self._add_generic(dict(coeffs), rhs)
+        row = dict(coeffs)
+        if 0 in row.values():  # rows hold nonzero entries only: log[0] means nothing
+            row = {c: v for c, v in row.items() if v}
+        return self._add_generic(row, rhs)
 
     # -- GF(2) fast path ---------------------------------------------------
 
@@ -217,45 +244,69 @@ class IncrementalSolver:
     # -- generic GF(2^m) path ----------------------------------------------
 
     def _add_generic(self, row: dict[int, int], rhs: int) -> list[tuple[int, int]]:
-        f = self.field
+        # Rows hold nonzero coefficients only, so every product is a lookup
+        # in the field's tables: a*b = exp[log a + log b].
+        exp, log = self.field.exp, self.field.log
         pivots = self._pivots
-        while True:
-            hit_col = next((c for c in sorted(row) if c in pivots), None)
-            if hit_col is None:
-                break
-            factor = row[hit_col]
-            prow, prhs = pivots[hit_col]
-            for c, v in prow.items():
-                nv = f.add(row.get(c, 0), f.mul(factor, v))
+        # One pass over the pivot columns the row holds.  Every pivot row is
+        # zero on every other pivot column (RREF), so eliminating one never
+        # changes the row's entry at another: each factor is read as it
+        # stands and the reduced row does not depend on the order.
+        for c in row.keys() & pivots.keys():
+            prow, prhs = pivots[c]
+            lf = log[row[c]]
+            for cc, v in prow.items():
+                nv = row.get(cc, 0) ^ exp[lf + log[v]]
                 if nv:
-                    row[c] = nv
-                elif c in row:
-                    del row[c]
-            rhs = f.add(rhs, f.mul(factor, prhs))
+                    row[cc] = nv
+                else:
+                    del row[cc]
+            if prhs:
+                rhs ^= exp[lf + log[prhs]]
         if not row:
             if rhs:
                 raise InconsistentSystemError("contradictory equation")
             return []
         col = min(row)
-        inv = f.inv(row[col])
-        row = {c: f.mul(inv, v) for c, v in row.items()}
-        rhs = f.mul(inv, rhs)
+        # Normalize the pivot to 1 by dividing by the lead: subtract its log
+        # mod the group order, and keep the row's logs for the walk below.
+        order = self.field.size - 1
+        lead = log[row[col]]
+        if len(row) == 1:
+            lrow = ((col, 0),)
+            row = {col: 1}
+        else:
+            lrow = [(c, (log[v] - lead) % order) for c, v in row.items()]
+            row = {c: exp[lv] for c, lv in lrow}
+        if rhs:
+            lrhs = (log[rhs] - lead) % order
+            rhs = exp[lrhs]
+        # Back-substitute into the rows that hold the new pivot column; a
+        # singleton row holds no other pivot's column, so only unresolved
+        # rows are looked at, in pivot order as the fresh list needs.
         fresh = []
-        for c, (prow, prhs) in list(pivots.items()):
-            factor = prow.get(col, 0)
+        unresolved = self._unresolved
+        for c in list(unresolved):
+            prow, prhs = pivots[c]
+            factor = prow.get(col)
             if factor:
+                lf = log[factor]
                 nrow = dict(prow)
-                for cc, v in row.items():
-                    nv = f.add(nrow.get(cc, 0), f.mul(factor, v))
+                for cc, lv in lrow:
+                    nv = nrow.get(cc, 0) ^ exp[lf + lv]
                     if nv:
                         nrow[cc] = nv
-                    elif cc in nrow:
+                    else:
                         del nrow[cc]
-                nrhs = f.add(prhs, f.mul(factor, rhs))
-                pivots[c] = (nrow, nrhs)
+                if rhs:
+                    prhs ^= exp[lf + lrhs]
+                pivots[c] = (nrow, prhs)
                 if len(nrow) == 1:
-                    fresh.append((c, nrhs))
+                    fresh.append((c, prhs))
+                    del unresolved[c]
         pivots[col] = (row, rhs)
         if len(row) == 1:
             fresh.append((col, rhs))
+        else:
+            unresolved[col] = None
         return fresh

@@ -137,10 +137,21 @@ def _eliminate(
     decoded = dict.fromkeys(by_col, (None, None))
     if not by_col:
         return decoded
-    rows = [
-        (n_src + r, [(tap.delay, tap.source_row, tap.coeff) for tap in prow.taps])
-        for r, prow in enumerate(spec.parity_rows)
-    ]
+    # Per-tap (delay, source row, w): on GF(2^m) w is the log of the
+    # coefficient, so every product is a table lookup; GF(2) ignores it.  A
+    # zero tap adds nothing to either side of an equation, and leaving it
+    # out keeps log[0] out of the arithmetic.
+    if binary:
+        rows = [
+            (n_src + r, [(tap.delay, tap.source_row, tap.coeff) for tap in prow.taps])
+            for r, prow in enumerate(spec.parity_rows)
+        ]
+    else:
+        exp, log = field.exp, field.log
+        rows = [
+            (n_src + r, [(tap.delay, tap.source_row, log[tap.coeff]) for tap in prow.taps if tap.coeff])
+            for r, prow in enumerate(spec.parity_rows)
+        ]
     solver = IncrementalSolver(field)
     for t in range(erased_times[0], horizon):
         if t in first_col:
@@ -155,19 +166,23 @@ def _eliminate(
                         eq ^= 1 << (col + row)
             else:
                 eq = {}
-                for delay, row, coeff in taps:
+                for delay, row, w in taps:
                     col = first_col.get(t - delay)
                     if col is not None:
-                        eq[col + row] = eq.get(col + row, 0) ^ coeff
-                eq = {c: v for c, v in eq.items() if v}
+                        eq[col + row] = eq.get(col + row, 0) ^ exp[w]
+                if 0 in eq.values():
+                    eq = {c: v for c, v in eq.items() if v}
             if not eq:
                 continue
             rhs = sym[pos]
-            for delay, row, coeff in taps:
+            for delay, row, w in taps:
                 tt = t - delay
                 if tt >= 0 and tt not in first_col:
                     known = received[tt][row]
-                    rhs ^= known if binary else field.mul(coeff, known)
+                    if binary:
+                        rhs ^= known
+                    elif known:
+                        rhs ^= exp[w + log[known]]
             for col, value in solver.add_equation(eq, rhs):
                 decoded[by_col[col]] = (t, value)
     return decoded

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 verification failure, 3 open-capacity refusal,
 4 invalid parameters.  Commands raise; ``main`` alone maps an
-``UnknownRegionError`` to 3 and any other ``ValueError`` to 4.
+``UnknownRegionError`` to 3 and any other ``ValueError`` to 4.  Anything
+else, such as a decoder contradiction on burstfec's own encoded stream
+(``InconsistentSystemError``), is a fault in the program and propagates.
 """
 
 from __future__ import annotations
@@ -99,8 +101,8 @@ def _capacity_row(p: MulticastParams):
 def cmd_capacity(args) -> int:
     header = ("b1", "t1", "b2", "t2", "region", "capacity", "pec_bound", "cu_bound",
               "best_bound", "construction")
-    if args.sweep is None and (args.b2 is None or args.t2 is None):
-        raise ValueError("capacity needs --b2/--t2 or --sweep")
+    if args.sweep is None and None in (args.b1, args.t1, args.b2, args.t2):
+        raise ValueError("capacity needs --b1/--t1/--b2/--t2 or --sweep")
     if args.sweep is not None:
         n = args.sweep
         if n < 1:
@@ -187,15 +189,14 @@ def cmd_pec(args) -> int:
         double_rule = None
     else:
         p = _params(args)
+        # construct refuses the region-(f) interior and infeasible points
+        # first, so every variant gives such a point the same error.
+        spec = construct(p)
         variant = args.variant
         if variant == "auto":
-            region = classify(p)
-            if region not in _PEC_AUTO:
-                raise ValueError(f"no periodic schedule for region {region.value}")
-            variant = _PEC_AUTO[region]
+            variant = _PEC_AUTO[classify(p)]
             if variant == "multicast_caseA" and p.t2 <= p.t1 + p.b1:
                 variant = "multicast_caseB"
-        spec = construct(p)
         pattern = make_periodic(variant, p)
         double_rule = (p.t1, p.t2) if variant == "region_f_T2B2" else None
     result = run_pec(spec, pattern, periods=args.periods, double_rule=double_rule)
@@ -221,9 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_params(sp, need_user2=False):
-        sp.add_argument("--b1", type=int, required=True, help="user-1 burst length")
-        sp.add_argument("--t1", type=int, required=True, help="user-1 delay")
+    def add_params(sp, need_user1=True, need_user2=False):
+        sp.add_argument("--b1", type=int, default=None, required=need_user1, help="user-1 burst length")
+        sp.add_argument("--t1", type=int, default=None, required=need_user1, help="user-1 delay")
         sp.add_argument("--b2", type=int, default=None, required=need_user2, help="user-2 burst length")
         sp.add_argument("--t2", type=int, default=None, required=need_user2, help="user-2 delay")
         sp.add_argument("--out", default=None, help="write machine-readable output here")
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("capacity", help="capacity and upper bounds, point or sweep")
-    add_params(sp, need_user2=False)
+    add_params(sp, need_user1=False)
     sp.add_argument("--sweep", type=int, default=None, metavar="N", help="sweep all params in 1..N")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(func=cmd_capacity)

@@ -14,6 +14,9 @@ from burstfec.algebra import (
     _gf_mul,
 )
 
+GF16_PRIMITIVE_X = FieldSpec(4, 0x13)
+GF16_X_NOT_PRIMITIVE = FieldSpec(4, 0x1F)  # x has order 5: the tables use another generator
+
 
 def test_gf2_add_is_xor_mul_is_and():
     for a in (0, 1):
@@ -66,7 +69,7 @@ def test_gf256_inverses():
 
 @pytest.mark.parametrize(
     "field",
-    [GF256, FieldSpec(4, 0x13), FieldSpec(4, 0x1F)],  # x has order 5 under 0x1F: not primitive
+    [GF256, GF16_PRIMITIVE_X, GF16_X_NOT_PRIMITIVE],
     ids=["gf256", "gf16-0x13", "gf16-0x1f"],
 )
 def test_log_tables_match_reference_multiply(field):
@@ -109,6 +112,14 @@ def test_solve_rank_deficiency():
 def test_solve_inconsistent_raises():
     with pytest.raises(InconsistentSystemError):
         _solve(GF2, [((1,), 0), ((1,), 1)], 1)
+
+
+@pytest.mark.parametrize("field", [GF2, GF256, GF16_X_NOT_PRIMITIVE], ids=["gf2", "gf256", "gf16-0x1f"])
+def test_zero_coefficient_is_an_absent_column(field):
+    c = field.size - 1
+    for coeffs in ({0: 0, 1: c}, {1: c, 2: 0}):
+        solver = IncrementalSolver(field)
+        assert solver.add_equation(coeffs, field.mul(c, 1)) == [(1, 1)]
 
 
 def _brute_force_determined(rows, n):
@@ -172,7 +183,11 @@ def _rescan(solver, seen):
     return fresh
 
 
-@pytest.mark.parametrize("field", [GF2, GF256], ids=["gf2", "gf256"])
+@pytest.mark.parametrize(
+    "field",
+    [GF2, GF256, GF16_PRIMITIVE_X, GF16_X_NOT_PRIMITIVE],
+    ids=["gf2", "gf256", "gf16-0x13", "gf16-0x1f"],
+)
 def test_add_equation_reports_what_a_full_rescan_finds(field):
     rng = random.Random(field.size)
     kinds = set()
@@ -199,3 +214,30 @@ def test_add_equation_reports_what_a_full_rescan_finds(field):
             assert got == _rescan(solver, seen)
         kinds.add("full rank" if len(seen) == n else "rank deficient")
     assert kinds == {"inconsistent", "full rank", "rank deficient"}
+
+
+@pytest.mark.parametrize(
+    "field",
+    [GF256, GF16_PRIMITIVE_X, GF16_X_NOT_PRIMITIVE],
+    ids=["gf256", "gf16-0x13", "gf16-0x1f"],
+)
+def test_add_equation_values_equal_the_planted_solution(field):
+    # The rescan test above checks the solver against its own pivots; this
+    # one checks its arithmetic: on consistent systems every reported value
+    # must be the planted one, whatever the coefficients and elimination order.
+    rng = random.Random(field.size * 31 + field.reduction_polynomial)
+    reported = 0
+    for trial in range(300):
+        n = rng.randint(1, 10)
+        truth = [rng.randrange(field.size) for _ in range(n)]
+        solver = IncrementalSolver(field)
+        for _ in range(rng.randint(1, n + 4)):
+            support = rng.sample(range(n), rng.randint(1, min(n, 5)))
+            row = {j: rng.randrange(1, field.size) for j in support}
+            rhs = 0
+            for j, c in row.items():
+                rhs ^= _gf_mul(field.order_exponent, field.reduction_polynomial, c, truth[j])
+            for col, value in solver.add_equation(row, rhs):
+                assert value == truth[col], (trial, col)
+                reported += 1
+    assert reported > 600

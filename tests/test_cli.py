@@ -57,10 +57,32 @@ def test_capacity_bad_sweep_exits_invalid(capsys, argv):
     assert out == ""
 
 
+def test_capacity_sweep_needs_no_point(capsys):
+    code, out, err = run(capsys, "capacity", "--sweep", "2")
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [(r["b1"], r["t1"], r["b2"], r["t2"]) for r in rows] == [
+        ("1", "1", "1", "1"), ("1", "1", "1", "2"), ("1", "1", "2", "2"),
+        ("1", "2", "1", "1"), ("1", "2", "1", "2"), ("1", "2", "2", "2"),
+        ("2", "2", "2", "2"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv", [(), ("--b1", "1", "--t1", "2"), ("--b2", "2", "--t2", "4")],
+    ids=["nothing", "user1-only", "user2-only"],
+)
+def test_capacity_without_point_or_sweep_exits_invalid(capsys, argv):
+    code, out, err = run(capsys, "capacity", *argv)
+    assert code == EXIT_INVALID
+    assert err == "error: capacity needs --b1/--t1/--b2/--t2 or --sweep\n"
+    assert out == ""
+
+
 def test_capacity_sweep_bounds_dominate(capsys):
     from fractions import Fraction
 
-    code, out, _ = run(capsys, "capacity", "--b1", "1", "--t1", "1", "--sweep", "4")
+    code, out, _ = run(capsys, "capacity", "--sweep", "4")
     assert code == 0
 
     def frac(s):
@@ -86,8 +108,8 @@ def test_build_single_user(capsys):
 
 
 @pytest.mark.parametrize(
-    "command", [("build",), ("verify",), ("pec", "--variant", "multicast_caseB")],
-    ids=["build", "verify", "pec"],
+    "command", [("build",), ("verify",), ("pec", "--variant", "multicast_caseB"), ("pec",)],
+    ids=["build", "verify", "pec", "pec-auto"],
 )
 def test_build_open_region_refused(capsys, command):
     code, out, err = run(capsys, *command, "--b1", "3", "--t1", "4", "--b2", "5", "--t2", "6")
@@ -139,6 +161,20 @@ def test_bad_spec_text_exits_invalid(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--b1", "1", "--t1", "2")
     assert code == EXIT_INVALID
     assert "line 1: unknown field 'gf16'" in err
+
+
+def test_decoder_contradiction_is_not_invalid_input(capsys, monkeypatch):
+    # a contradiction while decoding burstfec's own stream is a fault in the
+    # program: it must not be reported as invalid parameters (exit 4)
+    from burstfec.algebra import IncrementalSolver, InconsistentSystemError
+
+    def contradiction(self, coeffs, rhs):
+        raise InconsistentSystemError("contradictory equation")
+
+    monkeypatch.setattr(IncrementalSolver, "add_equation", contradiction)
+    with pytest.raises(InconsistentSystemError):
+        main(["verify", "--b1", "2", "--t1", "3", "--window", "4"])
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("window", ["-3", "0"])
