@@ -12,7 +12,7 @@ sweeps in here usable as acceptance oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import IncrementalSolver
 from .code_model import StreamingCodeSpec, encode
@@ -37,7 +37,7 @@ class SingleBurst:
 
 @dataclass(frozen=True)
 class Periodic:
-    """Erases [k*period + offset, ... + burst - 1] for every k >= 0.
+    """Erases [k*period, k*period + burst - 1] for every k >= 0.
 
     ``revealed`` lists in-period offsets exempted from erasure; they model
     the genie-revealed symbols of the counting arguments and are excluded
@@ -46,7 +46,6 @@ class Periodic:
 
     period: int
     burst: int
-    offset: int = 0
     revealed: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -54,16 +53,12 @@ class Periodic:
             raise ValueError("need 0 < burst <= period")
 
     def erased(self, t: int) -> bool:
-        if t < self.offset:
-            return False
-        phase = (t - self.offset) % self.period
-        return phase < self.burst and phase not in self.revealed
+        phase = t % self.period
+        return t >= 0 and phase < self.burst and phase not in self.revealed
 
     def is_revealed(self, t: int) -> bool:
-        if t < self.offset:
-            return False
-        phase = (t - self.offset) % self.period
-        return phase < self.burst and phase in self.revealed
+        phase = t % self.period
+        return t >= 0 and phase < self.burst and phase in self.revealed
 
 
 ErasurePattern = SingleBurst | Periodic
@@ -259,39 +254,9 @@ class VerifyResult:
     counterexample: Optional[Counterexample] = None
 
 
-def _sweep(
-    spec: StreamingCodeSpec,
-    user: UserSpec,
-    horizon: int,
-    seed: int,
-    trials: Iterable[tuple[int, int, Sequence[int], int]],
-) -> VerifyResult:
-    """Decode each ``(start, length, erased_times, last_time)`` trial on one
-    encoded stream of ``horizon`` steps and check every erased source
-    sub-symbol against its deadline t + user.delay and its true value.
-
-    ``last_time`` is the last step whose equations the trial reads: those
-    arriving after the last deadline cannot help meet it.  Returns the first
-    counterexample, in trial order.
-    """
-    src = source_fill(spec.n_source, horizon, spec.field.size, seed)
-    channel = encode(spec, src, horizon)
-    count = 0
-    for start, length, erased_times, last_time in trials:
-        count += 1
-        decoded = _eliminate(spec, channel, erased_times, last_time + 1)
-        for (t, row), (when, value) in decoded.items():
-            if when is None or when > t + user.delay:
-                return VerifyResult(
-                    False,
-                    count,
-                    Counterexample(start, length, (t, row), t + user.delay, when),
-                )
-            if value != src[t][row]:
-                raise AssertionError(
-                    f"decoder returned a wrong value at {(t, row)}: encoder bug"
-                )
-    return VerifyResult(True, count)
+class MisdecodeError(AssertionError):
+    """The decoder pinned an erased symbol to a value other than the encoded
+    one: a fault in the encoder or the decoder, never in the caller's input."""
 
 
 def verify_deadlines(
@@ -304,27 +269,44 @@ def verify_deadlines(
     and every burst length in [1, user.burst] must decode every erased source
     sub-symbol by its deadline t + user.delay (inclusive).
 
-    Returns the first counterexample found, scanning starts in order.
-    Raises ``ValueError`` when ``window`` is below 1.
+    All trials decode one encoded stream, and each checks the values it
+    decodes against the encoded source.  Returns the first counterexample
+    found, scanning starts in order.  Raises ``ValueError`` when ``window``
+    is below 1 and :class:`MisdecodeError` on a wrong decoded value.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if user.burst == 0:
         return VerifyResult(True, 0)
     memory = spec.memory
-    trials = (
-        (start, length, range(start, start + length), start + length + user.delay)
-        for start in range(memory, memory + window)
-        for length in range(1, user.burst + 1)
-    )
     horizon = memory + window + user.burst + user.delay + 1
-    return _sweep(spec, user, horizon, seed, trials)
+    src = source_fill(spec.n_source, horizon, spec.field.size, seed)
+    channel = encode(spec, src, horizon)
+    trials = 0
+    for start in range(memory, memory + window):
+        for length in range(1, user.burst + 1):
+            trials += 1
+            # Equations arriving after the last deadline cannot help meet it.
+            last = start + length + user.delay
+            decoded = _eliminate(spec, channel, range(start, start + length), last + 1)
+            for (t, row), (when, value) in decoded.items():
+                if when is None or when > t + user.delay:
+                    return VerifyResult(
+                        False,
+                        trials,
+                        Counterexample(start, length, (t, row), t + user.delay, when),
+                    )
+                if value != src[t][row]:
+                    raise MisdecodeError(
+                        f"decoder returned a wrong value at {(t, row)}: encoder bug"
+                    )
+    return VerifyResult(True, trials)
 
 
 # -- periodic-erasure-channel schedules ---------------------------------------
 
 
-def make_periodic(variant: str, params, periods_hint: int = 4) -> Periodic:
+def make_periodic(variant: str, params) -> Periodic:
     """Periodic pattern for the named counting schedule.
 
     ``params`` is a MulticastParams-like object with b1/t1/b2/t2 attributes
@@ -615,37 +597,3 @@ def region_e_structured_decode(
             report.entries[(tau, rho)] = SymbolReport(True, when, value)
     return RegionEDecodeResult(report, helper_recoveries)
 
-
-# -- multiple bursts with a guard interval -------------------------------------
-
-
-def verify_guarded_bursts(
-    spec: StreamingCodeSpec,
-    user: UserSpec,
-    guard: int,
-    window: int,
-    seed: int = 0,
-) -> VerifyResult:
-    """Deadline sweep over pairs of full-length bursts separated by at least
-    ``guard`` clean symbols.
-
-    Single-user codes tolerate repeated bursts once the guard reaches the
-    decoding delay; nothing beyond the single-burst guarantee is promised for
-    the multicast constructions, so this is exploratory tooling rather than
-    part of their contract.  Raises ``ValueError`` when ``window`` is below 1
-    or ``guard`` is negative.
-    """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if guard < 0:
-        raise ValueError(f"guard must be >= 0, got {guard}")
-    if user.burst == 0:
-        return VerifyResult(True, 0)
-    memory, b = spec.memory, user.burst
-    trials = (
-        (start, b, [*range(start, start + b), *range(second, second + b)], second + b + user.delay)
-        for start in range(memory, memory + window)
-        for second in (start + b + guard, start + b + guard + 1)
-    )
-    horizon = memory + window + 2 * b + guard + 2 + user.delay + 1
-    return _sweep(spec, user, horizon, seed, trials)

@@ -13,7 +13,9 @@ import argparse
 import csv
 import io
 import json
+import multiprocessing
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .algebra import GF2, GF256
@@ -27,6 +29,7 @@ from .musco import (
     classify,
     construct,
     construct_ia_sco,
+    constructible,
     region_inequalities,
     upper_bound_cu,
     upper_bound_pec,
@@ -82,6 +85,20 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _grid(n: int) -> list[MulticastParams]:
+    """Every point with 1 <= b1 <= b2, b <= t and all values in 1..n, in
+    parameter order."""
+    if n < 1:
+        raise ValueError(f"sweep must be >= 1, got {n}")
+    return [
+        MulticastParams(b1, t1, b2, t2)
+        for b1 in range(1, n + 1)
+        for t1 in range(b1, n + 1)
+        for b2 in range(b1, n + 1)
+        for t2 in range(b2, n + 1)
+    ]
+
+
 def _capacity_row(p: MulticastParams):
     res = capacity(p)
     return (
@@ -104,15 +121,7 @@ def cmd_capacity(args) -> int:
     if args.sweep is None and None in (args.b1, args.t1, args.b2, args.t2):
         raise ValueError("capacity needs --b1/--t1/--b2/--t2 or --sweep")
     if args.sweep is not None:
-        n = args.sweep
-        if n < 1:
-            raise ValueError(f"sweep must be >= 1, got {n}")
-        rows = []
-        for b1 in range(1, n + 1):
-            for t1 in range(b1, n + 1):
-                for b2 in range(b1, n + 1):
-                    for t2 in range(b2, n + 1):
-                        rows.append(_capacity_row(MulticastParams(b1, t1, b2, t2)))
+        rows = [_capacity_row(p) for p in _grid(args.sweep)]
     else:
         rows = [_capacity_row(_params(args))]
     if args.format == "json":
@@ -126,6 +135,8 @@ def cmd_capacity(args) -> int:
 def _build_spec(args):
     field = _FIELDS[args.field] if args.field else None
     if args.b2 is None:
+        if args.method == "ia-sco":
+            raise ValueError("--method ia-sco needs a multicast point (--b2/--t2)")
         return construct_sco(ScoParams(args.b1, args.t1), field)
     p = _params(args)
     if args.method == "ia-sco":
@@ -138,16 +149,62 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _verify_users(spec, users, window) -> list:
+    """Each user's exhaustive single-burst sweep, by default over a
+    4*memory window."""
+    if window is None:
+        window = 4 * max(spec.memory, 1)
+    return [verify_deadlines(spec, user, window) for user in users]
+
+
+def _sweep_row(p: MulticastParams) -> tuple:
+    """One ``verify --sweep`` row: a point passes when its code's rate is the
+    capacity and both users' sweeps pass."""
+    spec = construct(p)
+    results = _verify_users(spec, (UserSpec(p.b1, p.t1), UserSpec(p.b2, p.t2)), None)
+    ok = spec.rate == capacity(p).capacity and all(r.passed for r in results)
+    return (
+        p.b1, p.t1, p.b2, p.t2, classify(p).value, str(spec.rate),
+        "PASS" if ok else "FAIL", sum(r.trials for r in results),
+    )
+
+
+def _verify_grid(args) -> int:
+    point_flags = ("b1", "t1", "b2", "t2", "window", "field")
+    given = [f"--{name}" for name in point_flags if getattr(args, name) is not None]
+    if args.method != "auto":
+        given.append("--method")
+    if given:
+        raise ValueError(f"--sweep builds each point's own code; drop {', '.join(given)}")
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
+    points = [p for p in _grid(args.sweep) if constructible(p)]
+    if args.jobs > 1:
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=args.jobs, mp_context=ctx) as pool:
+            rows = list(pool.map(_sweep_row, points, chunksize=8))
+    else:
+        rows = [_sweep_row(p) for p in points]
+    _emit(args, _csv_text(("b1", "t1", "b2", "t2", "region", "rate", "verdict", "trials"), rows))
+    failures = sum(row[6] == "FAIL" for row in rows)
+    print(f"{len(points)} points, {failures} failures", file=sys.stderr)
+    return EXIT_VERIFY_FAIL if failures else EXIT_OK
+
+
 def cmd_verify(args) -> int:
+    if args.sweep is not None:
+        return _verify_grid(args)
+    if args.b1 is None or args.t1 is None:
+        raise ValueError("verify needs --b1/--t1 or --sweep")
+    if args.jobs != 1:
+        raise ValueError("--jobs needs --sweep")
     spec = _build_spec(args)
-    window = 4 * max(spec.memory, 1) if args.window is None else args.window
     users = [UserSpec(args.b1, args.t1)]
     if args.b2 is not None:
         users.append(UserSpec(args.b2, args.t2))
     rows = []
     failed = False
-    for idx, user in enumerate(users, start=1):
-        res = verify_deadlines(spec, user, window)
+    for idx, (user, res) in enumerate(zip(users, _verify_users(spec, users, args.window)), start=1):
         if res.passed:
             rows.append((idx, user.burst, user.delay, "PASS", "", "", ""))
             print(f"user {idx} (B={user.burst}, T={user.delay}): PASS ({res.trials} trials)")
@@ -184,6 +241,8 @@ _PEC_AUTO = {
 
 def cmd_pec(args) -> int:
     if args.b2 is None:
+        if args.variant not in ("auto", "single_user"):
+            raise ValueError(f"variant {args.variant} needs a multicast point (--b2/--t2)")
         spec = construct_sco(ScoParams(args.b1, args.t1))
         pattern = make_periodic("single_user", (args.b1, args.t1))
         double_rule = None
@@ -193,6 +252,8 @@ def cmd_pec(args) -> int:
         # first, so every variant gives such a point the same error.
         spec = construct(p)
         variant = args.variant
+        if variant == "single_user":
+            raise ValueError("variant single_user takes no --b2/--t2")
         if variant == "auto":
             variant = _PEC_AUTO[classify(p)]
             if variant == "multicast_caseA" and p.t2 <= p.t1 + p.b1:
@@ -243,14 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_params(sp)
     sp.add_argument("--field", choices=("gf2", "gf256"), default=None)
     sp.add_argument("--method", choices=("auto", "ia-sco"), default="auto")
-    sp.add_argument("--format", choices=("golden",), default="golden")
     sp.set_defaults(func=cmd_build)
 
-    sp = sub.add_parser("verify", help="exhaustive burst/deadline sweep")
-    add_params(sp)
+    sp = sub.add_parser("verify", help="exhaustive burst/deadline sweep, point or grid")
+    add_params(sp, need_user1=False)
     sp.add_argument("--field", choices=("gf2", "gf256"), default=None)
     sp.add_argument("--method", choices=("auto", "ia-sco"), default="auto")
     sp.add_argument("--window", type=int, default=None)
+    sp.add_argument("--sweep", type=int, default=None, metavar="N",
+                    help="verify every constructible point with params in 1..N")
+    sp.add_argument("--jobs", type=int, default=1, help="worker processes for --sweep")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("pec", help="periodic-erasure-channel recovery schedule")
@@ -271,6 +334,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "b2", None) is not None and args.t2 is None:
         parser.error("--b2 requires --t2")
+    if getattr(args, "t2", None) is not None and args.b2 is None:
+        parser.error("--t2 requires --b2")
     try:
         return args.func(args)
     except UnknownRegionError as exc:

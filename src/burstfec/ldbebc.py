@@ -66,15 +66,14 @@ def _deadline(i: int, T: int, B: int) -> int:
     return min(i + T, T + B - 1)
 
 
-def verify_ldbebc(spec: BlockCodeSpec, burst_len: int | None = None) -> BlockVerifyReport:
-    """Erase every cyclic burst of length B (or ``burst_len``) and check each
-    erased source symbol is uniquely determined from the unerased prefix
-    ending at its deadline."""
+def verify_ldbebc(spec: BlockCodeSpec) -> BlockVerifyReport:
+    """Erase every cyclic burst of length B and check each erased source
+    symbol is uniquely determined from the unerased prefix ending at its
+    deadline."""
     T, B, n = spec.T, spec.B, spec.length
-    blen = B if burst_len is None else burst_len
     violations = []
     for start in range(n):
-        erased = {(start + o) % n for o in range(blen)}
+        erased = {(start + o) % n for o in range(B)}
         erased_sources = sorted(i for i in erased if i < T)
         if not erased_sources:
             continue

@@ -289,7 +289,8 @@ def construct_ia_sco(params: MulticastParams, field: FieldSpec | None = None) ->
 class ExpansionPlan:
     """Region-(b) reduction: T1 shrinks to T1~ = (B1/B2)(T2 - B1), and when
     that is fractional each source symbol splits into n^2 T1~ sub-symbols so
-    a DE-SCo at (n B1, n T1~) applies on a base expanded by factor n."""
+    a DE-SCo at (n B1, n T1~) applies on a base expanded by factor n, the
+    denominator of T1~."""
 
     params: MulticastParams
     t1_tilde: Fraction
@@ -305,26 +306,13 @@ class ExpansionPlan:
             n * self.params.t2,
         )
 
-    @property
-    def sub_symbols_per_symbol(self) -> int:
-        return int(self.n * self.n * self.t1_tilde)
 
-    def original_row(self, phase: int, expanded_row: int) -> int:
-        """Expanded (time phase, row) -> row index on the original base."""
-        return phase * int(self.n * self.t1_tilde) + expanded_row
-
-
-def source_expand(params: MulticastParams, n: Optional[int] = None) -> ExpansionPlan:
+def source_expand(params: MulticastParams) -> ExpansionPlan:
     p = params.normalized()
     t1_tilde = Fraction(p.b1, p.b2) * (p.t2 - p.b1)
     if t1_tilde < p.b1:
         raise InfeasibleParamsError("T1~ below B1; outside region (b)")
-    minimal = t1_tilde.denominator
-    if n is None:
-        n = minimal
-    elif (n * t1_tilde).denominator != 1:
-        raise ValueError(f"n={n} does not clear the denominator of T1~={t1_tilde}")
-    return ExpansionPlan(p, t1_tilde, n)
+    return ExpansionPlan(p, t1_tilde, t1_tilde.denominator)
 
 
 def fold_spec(spec: StreamingCodeSpec, n: int, label: str) -> StreamingCodeSpec:
@@ -408,8 +396,6 @@ class RegionEPlan:
 
     params: MulticastParams
     k: int
-    m: int
-    case: str  # "A", "B", or "REP" when layer 4 is pure repetition
     field: FieldSpec
     c1_rows: tuple[ParityRow, ...]
     helper_w_rows: tuple[ParityRow, ...]  # over w-space, advances as negative delays
@@ -444,20 +430,16 @@ def region_e_plan(params: MulticastParams, field: FieldSpec | None = None) -> Re
     if classify(p) is not Region.E:
         raise InfeasibleParamsError(f"{p} is not a region-(e) point")
     k = p.b1 + p.b2 - p.t2
-    m = p.t2 - p.t1 - p.b1
     t3 = p.b1 - k
     if t3 == 0:
         # T2 = B2 corner: no layer 3, layer 4 is bare repetition rows.
         (c1,) = _block_pair([(p.b1, p.t1)], field)
         empties = tuple(ParityRow(()) for _ in range(p.t1))
-        return RegionEPlan(
-            p, k, m, "REP", c1.field, main_diagonal_rows(c1), empties, empties, empties
-        )
+        return RegionEPlan(p, k, c1.field, main_diagonal_rows(c1), empties, empties, empties)
     b3 = p.t1 - t3
     if p.t1 <= 2 * t3:
         c1, c3 = _block_pair([(p.b1, p.t1), (b3, t3)], field)
         helper = shift_rows(main_diagonal_rows(c3), -p.t1)
-        case = "A"
     else:
         r, q = divmod(p.t1 - t3, t3)
         pairs = [(p.b1, p.t1)] + ([(q, t3)] if q else [])
@@ -471,15 +453,12 @@ def region_e_plan(params: MulticastParams, field: FieldSpec | None = None) -> Re
         if q:
             helper_rows.extend(shift_rows(main_diagonal_rows(blocks[1]), -p.t1))
         helper = tuple(helper_rows)
-        case = "B"
     c1_rows = main_diagonal_rows(c1)
     w_rows = c1_rows[k : p.b1]
     expanded = compose_rows(helper, w_rows, c1.field)
     return RegionEPlan(
         p,
         k,
-        m,
-        case,
         c1.field,
         c1_rows,
         helper,

@@ -1,9 +1,9 @@
 """Single-user streaming codes via diagonal interleaving of a block code.
 
 ``construct_sco`` places a (T, B) block code along stream diagonals:
-parity row j at time i combines s_l[i - (T + j - l)] for every block tap l,
-scaled by the interleave factor when one is given (all delays multiplied),
-which realizes the (aB, aT) burst/delay guarantee on the same T source rows.
+parity row j at time i combines s_l[i - (T + j - l)] for every block tap l.
+Scaling every delay by a (``main_diagonal_rows``'s factor) realizes the
+(aB, aT) burst/delay guarantee on the same T source rows.
 
 The opposite-diagonal variant mirrors the source rows and walks the
 anti-diagonal; it is only meaningful combined with a main-diagonal stream
@@ -27,20 +27,14 @@ class InfeasibleParamsError(ValueError):
 
 @dataclass(frozen=True)
 class ScoParams:
-    """Base block parameters (B, T) plus the interleaving applied to them.
-
-    ``interleave_factor`` a scales every tap delay, so the constructed code
-    recovers bursts of length a*B within delay a*T while still carrying T
-    source rows per time step (memory T * a).
-    """
+    """Single-user burst length B and decoding delay T."""
 
     burst: int
     delay: int
-    interleave_factor: int = 1
 
     def __post_init__(self) -> None:
-        if self.burst < 1 or self.interleave_factor < 1:
-            raise InfeasibleParamsError("burst and interleave factor must be >= 1")
+        if self.burst < 1:
+            raise InfeasibleParamsError("burst must be >= 1")
         if self.delay < self.burst:
             raise InfeasibleParamsError(
                 f"delay {self.delay} below burst {self.burst}: capacity is zero"
@@ -72,23 +66,17 @@ def opposite_diagonal_rows(
     block: BlockCodeSpec,
     dilation: int,
     emission_offsets: Sequence[int],
-    coeffs: Sequence[Sequence[int]] | None = None,
 ) -> tuple[ParityRow, ...]:
     """Mirror the block's source rows (l -> T-1-l) and lay the codeword along
     an anti-diagonal of slope ``dilation``; parity j of the codeword anchored
     at w is emitted at w + emission_offsets[j].
-
-    ``coeffs`` optionally overrides the tap coefficients per (row, tap index)
-    for fields larger than GF(2).
     """
     T = block.T
     rows = []
     for j, taps in enumerate(block.parity_defs):
         c_j = emission_offsets[j]
         row = []
-        for idx, (l, c) in enumerate(taps):
-            if coeffs is not None:
-                c = coeffs[j][idx]
+        for l, c in taps:
             mirrored = T - 1 - l
             row.append(Tap(mirrored, c_j + dilation * mirrored, c))
         rows.append(make_row(row, block.field))
@@ -98,9 +86,5 @@ def opposite_diagonal_rows(
 def construct_sco(params: ScoParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
     """Diagonally-interleaved block code as a streaming spec."""
     block = construct_ldbebc(params.burst, params.delay, field)
-    rows = main_diagonal_rows(block, params.interleave_factor)
-    a = params.interleave_factor
     label = f"sco({params.burst},{params.delay})"
-    if a > 1:
-        label = f"sco({params.burst},{params.delay})x{a}"
-    return StreamingCodeSpec(block.field, params.delay, rows, label)
+    return StreamingCodeSpec(block.field, params.delay, main_diagonal_rows(block), label)

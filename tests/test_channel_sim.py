@@ -8,6 +8,7 @@ from burstfec.algebra import GF2
 from burstfec.channel_sim import (
     ERASED,
     Counterexample,
+    MisdecodeError,
     Periodic,
     SingleBurst,
     UserSpec,
@@ -18,7 +19,6 @@ from burstfec.channel_sim import (
     run_pec,
     source_fill,
     verify_deadlines,
-    verify_guarded_bursts,
 )
 from burstfec.code_model import StreamingCodeSpec, Tap, encode, make_row
 from burstfec.musco import MulticastParams, construct
@@ -132,25 +132,6 @@ def _reference_verify_deadlines(spec, user, window, seed=0):
     return VerifyResult(True, trials)
 
 
-def _reference_verify_guarded_bursts(spec, user, guard, window, seed=0):
-    horizon = spec.memory + window + 2 * user.burst + guard + 2 + user.delay + 1
-    channel = encode(spec, source_fill(spec.n_source, horizon, spec.field.size, seed), horizon)
-    trials = 0
-    for start in range(spec.memory, spec.memory + window):
-        for gap in (guard, guard + 1):
-            trials += 1
-            second = start + user.burst + gap
-            pattern = SetPattern(
-                frozenset(range(start, start + user.burst)) | frozenset(range(second, second + user.burst))
-            )
-            h = min(horizon, second + user.burst + user.delay + 1)
-            report = generic_decode(spec, apply_channel(channel, pattern), pattern, h)
-            verdict = _first_late(report, start, user.burst, user.delay, trials)
-            if verdict is not None:
-                return verdict
-    return VerifyResult(True, trials)
-
-
 def _multicast_cases(point):
     p = MulticastParams(*point)
     spec = construct(p)
@@ -173,23 +154,7 @@ def test_window_local_sweep_matches_whole_prefix_decode(cases):
         assert verify_deadlines(spec, user, window) == _reference_verify_deadlines(spec, user, window)
 
 
-@pytest.mark.parametrize("guard", [0, 3])
-def test_window_local_guarded_sweep_matches_whole_prefix_decode(guard):
-    spec = construct_sco(ScoParams(2, 3))
-    user = UserSpec(2, 3)
-    got = verify_guarded_bursts(spec, user, guard=guard, window=10)
-    assert got == _reference_verify_guarded_bursts(spec, user, guard, 10)
-
-
-@pytest.mark.parametrize(
-    "sweep",
-    [
-        lambda spec: verify_deadlines(spec, UserSpec(2, 3), 20),
-        lambda spec: verify_guarded_bursts(spec, UserSpec(2, 3), guard=3, window=20),
-    ],
-    ids=["verify_deadlines", "verify_guarded_bursts"],
-)
-def test_verify_value_check_fires_on_a_wrong_stream(monkeypatch, sweep):
+def test_verify_value_check_fires_on_a_wrong_stream(monkeypatch):
     # the sweep decodes a stream encoded from other source data than the
     # one it compares against: every deadline is met, the values are wrong
     real_encode = channel_sim.encode
@@ -198,10 +163,10 @@ def test_verify_value_check_fires_on_a_wrong_stream(monkeypatch, sweep):
         return real_encode(spec, source_fill(spec.n_source, horizon, spec.field.size, 99), horizon)
 
     spec = construct_sco(ScoParams(2, 3))
-    assert sweep(spec).passed
+    assert verify_deadlines(spec, UserSpec(2, 3), 20).passed
     monkeypatch.setattr(channel_sim, "encode", other_source)
-    with pytest.raises(AssertionError, match="wrong value"):
-        sweep(spec)
+    with pytest.raises(MisdecodeError, match="wrong value"):
+        verify_deadlines(spec, UserSpec(2, 3), 20)
 
 
 # -- decoder/oracle equivalence ------------------------------------------------
@@ -370,30 +335,8 @@ def test_ia_sco_decode_traces():
     assert report.symbol_recovery_time(12) <= 18
 
 
-def test_guarded_multi_burst_sweep_single_user():
-    from burstfec.channel_sim import verify_guarded_bursts
-
-    # a guard interval of T symbols restores the single-burst guarantee
-    for B, T in [(1, 2), (2, 3), (2, 4)]:
-        spec = construct_sco(ScoParams(B, T))
-        assert verify_guarded_bursts(spec, UserSpec(B, T), guard=T, window=2 * (T + B)).passed
-    # back-to-back bursts exceed the design and must be caught
-    spec = construct_sco(ScoParams(2, 3))
-    assert not verify_guarded_bursts(spec, UserSpec(2, 3), guard=0, window=10).passed
-
-
 @pytest.mark.parametrize("window", [0, -3])
 def test_verify_deadlines_rejects_empty_window(window):
     with pytest.raises(ValueError, match="window must be >= 1"):
         verify_deadlines(construct_sco(ScoParams(2, 3)), UserSpec(2, 3), window)
 
-
-@pytest.mark.parametrize("window", [0, -3])
-def test_guarded_sweep_rejects_empty_window(window):
-    with pytest.raises(ValueError, match="window must be >= 1"):
-        verify_guarded_bursts(construct_sco(ScoParams(2, 3)), UserSpec(2, 3), guard=3, window=window)
-
-
-def test_guarded_sweep_rejects_negative_guard():
-    with pytest.raises(ValueError, match="guard must be >= 0"):
-        verify_guarded_bursts(construct_sco(ScoParams(2, 3)), UserSpec(2, 3), guard=-1, window=10)

@@ -185,6 +185,103 @@ def test_verify_empty_window_exits_invalid(capsys, window):
     assert "PASS" not in out
 
 
+SWEEP_HEADER = "b1,t1,b2,t2,region,rate,verdict,trials"
+
+
+def test_verify_sweep_rows_agree_with_point_verify(capsys):
+    code, out, err = run(capsys, "verify", "--sweep", "3")
+    assert code == 0
+    assert out.splitlines()[0] == SWEEP_HEADER
+    rows = list(csv.DictReader(out.splitlines()))
+    assert err == f"{len(rows)} points, 0 failures\n"
+    for row in rows:
+        point = [arg for key in ("b1", "t1", "b2", "t2") for arg in (f"--{key}", row[key])]
+        code, point_out, _ = run(capsys, "verify", *point)
+        assert code == 0 and row["verdict"] == "PASS", row
+        trials = [int(line.split("(")[-1].split()[0]) for line in point_out.splitlines()]
+        assert sum(trials) == int(row["trials"]), row
+
+
+def test_verify_sweep_parallel_matches_serial(capsys, tmp_path):
+    _, serial, _ = run(capsys, "verify", "--sweep", "2")
+    out_file = tmp_path / "sweep.csv"
+    code, out, err = run(capsys, "verify", "--sweep", "2", "--jobs", "2", "--out", str(out_file))
+    assert code == 0 and out == ""
+    assert out_file.read_bytes() == serial.encode()
+    assert err == f"{len(serial.splitlines()) - 1} points, 0 failures\n"
+
+
+def test_verify_sweep_reports_a_sabotaged_code(capsys, monkeypatch):
+    # same rate, one parity row emptied: the deadline sweep must fail it
+    import burstfec.cli as cli_mod
+    from burstfec.code_model import ParityRow, StreamingCodeSpec
+
+    real = cli_mod.construct
+
+    def sabotaged(p):
+        spec = real(p)
+        rows = spec.parity_rows[:-1] + (ParityRow(()),)
+        return StreamingCodeSpec(spec.field, spec.n_source, rows, "cut")
+
+    monkeypatch.setattr(cli_mod, "construct", sabotaged)
+    code, out, err = run(capsys, "verify", "--sweep", "2")
+    assert code == EXIT_VERIFY_FAIL
+    rows = list(csv.DictReader(out.splitlines()))
+    assert rows and all(r["verdict"] == "FAIL" for r in rows)
+    assert err == f"{len(rows)} points, {len(rows)} failures\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--sweep", "0"), "sweep must be >= 1, got 0"),
+        (("--sweep", "2", "--jobs", "0"), "jobs must be >= 1, got 0"),
+        (("--sweep", "2", "--b1", "1", "--window", "4"),
+         "--sweep builds each point's own code; drop --b1, --window"),
+        (("--b1", "2", "--t1", "3", "--jobs", "2"), "--jobs needs --sweep"),
+        ((), "verify needs --b1/--t1 or --sweep"),
+    ],
+    ids=["sweep-zero", "jobs-zero", "sweep-with-point", "jobs-without-sweep", "nothing"],
+)
+def test_verify_bad_sweep_input_exits_invalid(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == EXIT_INVALID
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "build", "pec"])
+def test_t2_without_b2_rejected(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--b1", "2", "--t1", "3", "--t2", "4"])
+    assert exc.value.code == 2
+    assert "--t2 requires --b2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_ia_sco_without_multicast_point_exits_invalid(capsys, command):
+    code, out, err = run(capsys, command, "--b1", "2", "--t1", "3", "--method", "ia-sco")
+    assert code == EXIT_INVALID
+    assert err == "error: --method ia-sco needs a multicast point (--b2/--t2)\n"
+    assert out == ""
+
+
+def test_wrong_decoded_value_is_not_invalid_input(capsys, monkeypatch):
+    # a wrong value decoded from burstfec's own stream is a fault in the
+    # program: it propagates as MisdecodeError, never exit 4
+    from burstfec import channel_sim
+
+    real_encode = channel_sim.encode
+
+    def other_source(spec, src, horizon):
+        return real_encode(spec, channel_sim.source_fill(spec.n_source, horizon, spec.field.size, 99), horizon)
+
+    monkeypatch.setattr(channel_sim, "encode", other_source)
+    with pytest.raises(channel_sim.MisdecodeError):
+        main(["verify", "--b1", "2", "--t1", "3", "--window", "4"])
+    assert capsys.readouterr().err == ""
+
+
 def test_pec_counting_single_user(capsys):
     code, out, _ = run(capsys, "pec", "--b1", "2", "--t1", "3")
     assert code == 0
@@ -203,6 +300,23 @@ def test_pec_bad_periods_exits_invalid(capsys, periods):
     code, out, err = run(capsys, "pec", "--b1", "2", "--t1", "3", "--periods", periods)
     assert code == EXIT_INVALID
     assert err == f"error: periods must be >= 1, got {periods}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--b1", "1", "--t1", "2", "--b2", "2", "--t2", "4", "--variant", "single_user"),
+         "variant single_user takes no --b2/--t2"),
+        (("--b1", "2", "--t1", "3", "--variant", "region_e"),
+         "variant region_e needs a multicast point (--b2/--t2)"),
+    ],
+    ids=["single-user-variant-on-multicast", "multicast-variant-on-single-user"],
+)
+def test_pec_variant_mismatch_exits_invalid(capsys, argv, message):
+    code, out, err = run(capsys, "pec", *argv)
+    assert code == EXIT_INVALID
+    assert err == f"error: {message}\n"
     assert out == ""
 
 

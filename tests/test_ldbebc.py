@@ -57,14 +57,6 @@ def test_every_pair_up_to_8_constructs_and_verifies():
             )
 
 
-def test_shorter_bursts_also_recovered():
-    # decodability is monotone in burst length
-    for B, T in [(2, 3), (3, 5), (4, 6), (2, 5)]:
-        spec = construct_ldbebc(B, T)
-        for blen in range(1, B + 1):
-            assert verify_ldbebc(spec, burst_len=blen).ok, (B, T, blen)
-
-
 def test_escalation_to_gf256_when_binary_fails():
     spec = construct_ldbebc(2, 6)
     assert spec.field == GF256
@@ -86,9 +78,9 @@ def test_each_block_candidate_verified_once_across_the_grid(monkeypatch):
     counts = Counter()
     real = ldbebc.verify_ldbebc
 
-    def counting(spec, burst_len=None):
+    def counting(spec):
         counts[(spec.B, spec.T, spec.pattern)] += 1
-        return real(spec, burst_len)
+        return real(spec)
 
     monkeypatch.setattr(ldbebc, "verify_ldbebc", counting)
     construct_ldbebc.cache_clear()

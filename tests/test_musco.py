@@ -212,14 +212,10 @@ def test_source_expansion_plan():
     plan = source_expand(P(1, 2, 2, 4))
     assert plan.t1_tilde == Fraction(3, 2)
     assert plan.n == 2
-    assert plan.sub_symbols_per_symbol == 6
     ip = plan.inner_params
     assert (ip.b1, ip.t1, ip.b2, ip.t2) == (2, 3, 4, 8)
-    assert plan.original_row(1, 2) == 5
     # already-integer reduction is the identity expansion
     assert source_expand(P(1, 3, 2, 7)).n == 1
-    with pytest.raises(ValueError):
-        source_expand(P(1, 2, 2, 4), n=3)
 
 
 def test_region_b_folded_code():

@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 
 from burstfec.channel_sim import UserSpec, verify_deadlines
-from burstfec.code_model import Tap, make_row
+from burstfec.code_model import StreamingCodeSpec, Tap, make_row
+from burstfec.ldbebc import construct_ldbebc
 from burstfec.sco import (
     InfeasibleParamsError,
     ScoParams,
     construct_sco,
+    main_diagonal_rows,
     single_user_capacity,
 )
 
@@ -33,8 +35,14 @@ def test_2_3_code_taps():
     )
 
 
+def _interleaved(B, T, a):
+    # the vertically interleaved (aB, aT) stream, as construct_ia_sco lays it
+    block = construct_ldbebc(B, T)
+    return StreamingCodeSpec(block.field, T, main_diagonal_rows(block, a))
+
+
 def test_interleaved_1_2_by_2_gives_2_4_guarantee():
-    spec = construct_sco(ScoParams(1, 2, interleave_factor=2))
+    spec = _interleaved(1, 2, 2)
     assert spec.parity_rows == (make_row([Tap(0, 4, 1), Tap(1, 2, 1)]),)
     assert spec.memory == 2 * 2
     assert verify_deadlines(spec, UserSpec(2, 4), 24).passed
@@ -68,6 +76,6 @@ def test_deadline_sweep_small_pairs():
 
 def test_interleaved_variants_meet_scaled_guarantees():
     for B, T, a in [(1, 2, 2), (2, 3, 2), (1, 3, 3)]:
-        spec = construct_sco(ScoParams(B, T, interleave_factor=a))
+        spec = _interleaved(B, T, a)
         assert spec.memory == T * a
         assert verify_deadlines(spec, UserSpec(a * B, a * T), 4 * (a * (T + B))).passed, (B, T, a)
