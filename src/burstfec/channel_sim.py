@@ -106,32 +106,25 @@ class DecodeReport:
         return rows
 
 
-def _eliminate(
-    spec: StreamingCodeSpec,
-    received: Sequence,
-    erased_times: Sequence[int],
-    horizon: int,
-) -> dict[tuple[int, int], tuple[Optional[int], Optional[int]]]:
-    """Incremental elimination over the source sub-symbols of ``erased_times``.
+def _equations(spec: StreamingCodeSpec, erased_times: Sequence[int], horizon: int):
+    """The equations a received prefix gives on the source sub-symbols of
+    ``erased_times``, in time order.
 
-    ``erased_times`` is ascending and below ``horizon``; ``received[t]`` is
-    read only at the other times.  Returns ``(recovery_time, value)`` per
-    erased (t, row) in time-then-row order, ``(None, None)`` when the
-    received prefix up to ``horizon`` never determines it.
-
-    Equations arrive in time order, one per received parity sub-symbol
-    whose taps reach an unknown.  The others carry no information about the
-    unknowns, so the scan starts at the first erased time and computes the
-    rhs only of equations that go to the solver.
+    ``erased_times`` is ascending and below ``horizon``.  Yields
+    ``(t, pos, eq, known)`` per received parity sub-symbol (t, pos) whose
+    taps reach an unknown: ``eq`` maps the unknowns' columns (erased time
+    index * n_source + row) to coefficients, as a bitmask on GF(2), and
+    ``known`` lists the ``(delay, source row, w)`` taps that read a received
+    source, whose values :func:`_solve` folds into the rhs.  The other parity
+    sub-symbols carry no information about the unknowns, so the scan starts
+    at the first erased time.
     """
+    if not erased_times:
+        return
     n_src = spec.n_source
     field = spec.field
     binary = field.order_exponent == 1
     first_col = {t: i * n_src for i, t in enumerate(erased_times)}
-    by_col = [(t, row) for t in erased_times for row in range(n_src)]
-    decoded = dict.fromkeys(by_col, (None, None))
-    if not by_col:
-        return decoded
     # Per-tap (delay, source row, w): on GF(2^m) w is the log of the
     # coefficient, so every product is a table lookup; GF(2) ignores it.  A
     # zero tap adds nothing to either side of an equation, and leaving it
@@ -147,11 +140,9 @@ def _eliminate(
             (n_src + r, [(tap.delay, tap.source_row, log[tap.coeff]) for tap in prow.taps if tap.coeff])
             for r, prow in enumerate(spec.parity_rows)
         ]
-    solver = IncrementalSolver(field)
     for t in range(erased_times[0], horizon):
         if t in first_col:
             continue
-        sym = received[t]
         for pos, taps in rows:
             if binary:
                 eq = 0
@@ -167,20 +158,42 @@ def _eliminate(
                         eq[col + row] = eq.get(col + row, 0) ^ exp[w]
                 if 0 in eq.values():
                     eq = {c: v for c, v in eq.items() if v}
-            if not eq:
-                continue
-            rhs = sym[pos]
-            for delay, row, w in taps:
-                tt = t - delay
-                if tt >= 0 and tt not in first_col:
-                    known = received[tt][row]
-                    if binary:
-                        rhs ^= known
-                    elif known:
-                        rhs ^= exp[w + log[known]]
-            for col, value in solver.add_equation(eq, rhs):
-                decoded[by_col[col]] = (t, value)
-    return decoded
+            if eq:
+                known = [
+                    (delay, row, w)
+                    for delay, row, w in taps
+                    if t - delay >= 0 and t - delay not in first_col
+                ]
+                yield t, pos, eq, known
+
+
+def _solve(field, equations, received: Sequence, n_unknowns: int, shift: int = 0) -> list:
+    """Feed ``equations`` (as :func:`_equations` yields them) to one
+    incremental solver, every time in them moved ``shift`` steps later.
+
+    The rhs of each equation is read from ``received`` at the moved times.
+    Returns ``(recovery_time, value)`` per unknown column, ``(None, None)``
+    when the equations never determine it; recovery times are moved too.
+    """
+    binary = field.order_exponent == 1
+    if not binary:
+        exp, log = field.exp, field.log
+    solver = IncrementalSolver(field)
+    recovered = [(None, None)] * n_unknowns
+    for t, pos, eq, known in equations:
+        t += shift
+        rhs = received[t][pos]
+        if binary:
+            for delay, row, _ in known:
+                rhs ^= received[t - delay][row]
+        else:
+            for delay, row, w in known:
+                value = received[t - delay][row]
+                if value:
+                    rhs ^= exp[w + log[value]]
+        for col, value in solver.add_equation(eq, rhs):
+            recovered[col] = (t, value)
+    return recovered
 
 
 def generic_decode(
@@ -203,13 +216,16 @@ def generic_decode(
     for t in clean:
         if received[t] is ERASED:
             raise ValueError(f"missing symbol at unerased time {t}")
-    report = DecodeReport(spec.n_source, horizon)
+    n_src = spec.n_source
+    report = DecodeReport(n_src, horizon)
     entries = report.entries
-    for key, (when, value) in _eliminate(spec, received, erased, horizon).items():
-        entries[key] = SymbolReport(True, when, value)
+    equations = _equations(spec, erased, horizon)
+    recovered = _solve(spec.field, equations, received, len(erased) * n_src)
+    for col, (when, value) in enumerate(recovered):
+        entries[(erased[col // n_src], col % n_src)] = SymbolReport(True, when, value)
     for t in clean:
         sym = received[t]
-        for row in range(spec.n_source):
+        for row in range(n_src):
             entries[(t, row)] = SymbolReport(False, t, sym[row])
     return report
 
@@ -279,17 +295,27 @@ def verify_deadlines(
     if user.burst == 0:
         return VerifyResult(True, 0)
     memory = spec.memory
+    n_src = spec.n_source
     horizon = memory + window + user.burst + user.delay + 1
-    src = source_fill(spec.n_source, horizon, spec.field.size, seed)
+    src = source_fill(n_src, horizon, spec.field.size, seed)
     channel = encode(spec, src, horizon)
+    # Each length's equations are built once, for the burst at start
+    # ``memory``, and replayed shifted to every later start.  That is exact:
+    # every start is >= memory, so every tap of a received time t >= start
+    # reaches t - delay >= 0, and the t - delay >= 0 filter and the erased
+    # columns are the same at every start.  Equations arriving after the
+    # last deadline, start + length + delay, cannot help meet it.
+    systems = [
+        list(_equations(spec, range(memory, memory + length), memory + length + user.delay + 1))
+        for length in range(1, user.burst + 1)
+    ]
     trials = 0
     for start in range(memory, memory + window):
-        for length in range(1, user.burst + 1):
+        for length, equations in enumerate(systems, start=1):
             trials += 1
-            # Equations arriving after the last deadline cannot help meet it.
-            last = start + length + user.delay
-            decoded = _eliminate(spec, channel, range(start, start + length), last + 1)
-            for (t, row), (when, value) in decoded.items():
+            recovered = _solve(spec.field, equations, channel, length * n_src, start - memory)
+            for col, (when, value) in enumerate(recovered):
+                t, row = start + col // n_src, col % n_src
                 if when is None or when > t + user.delay:
                     return VerifyResult(
                         False,

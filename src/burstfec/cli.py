@@ -118,12 +118,16 @@ def _capacity_row(p: MulticastParams):
 def cmd_capacity(args) -> int:
     header = ("b1", "t1", "b2", "t2", "region", "capacity", "pec_bound", "cu_bound",
               "best_bound", "construction")
-    if args.sweep is None and None in (args.b1, args.t1, args.b2, args.t2):
-        raise ValueError("capacity needs --b1/--t1/--b2/--t2 or --sweep")
     if args.sweep is not None:
-        rows = [_capacity_row(p) for p in _grid(args.sweep)]
+        points = _grid(args.sweep)
+        given = [f"--{name}" for name in ("b1", "t1", "b2", "t2") if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"--sweep tabulates every point; drop {', '.join(given)}")
+    elif None in (args.b1, args.t1, args.b2, args.t2):
+        raise ValueError("capacity needs --b1/--t1/--b2/--t2 or --sweep")
     else:
-        rows = [_capacity_row(_params(args))]
+        points = [_params(args)]
+    rows = [_capacity_row(p) for p in points]
     if args.format == "json":
         keys = header
         _emit(args, json.dumps([dict(zip(keys, r)) for r in rows], indent=2) + "\n")
@@ -254,10 +258,14 @@ def cmd_pec(args) -> int:
         variant = args.variant
         if variant == "single_user":
             raise ValueError("variant single_user takes no --b2/--t2")
+        region = classify(p)
         if variant == "auto":
-            variant = _PEC_AUTO[classify(p)]
+            variant = _PEC_AUTO[region]
             if variant == "multicast_caseA" and p.t2 <= p.t1 + p.b1:
                 variant = "multicast_caseB"
+        elif variant.startswith("region_") and _PEC_AUTO[region] != variant:
+            # a region_* schedule is the counting argument of that region alone
+            raise ValueError(f"variant {variant} does not fit region {region.value}")
         pattern = make_periodic(variant, p)
         double_rule = (p.t1, p.t2) if variant == "region_f_T2B2" else None
     result = run_pec(spec, pattern, periods=args.periods, double_rule=double_rule)
@@ -332,11 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "b2", None) is not None and args.t2 is None:
-        parser.error("--b2 requires --t2")
-    if getattr(args, "t2", None) is not None and args.b2 is None:
-        parser.error("--t2 requires --b2")
     try:
+        if args.b2 is not None and args.t2 is None:
+            raise ValueError("--b2 requires --t2")
+        if args.t2 is not None and args.b2 is None:
+            raise ValueError("--t2 requires --b2")
         return args.func(args)
     except UnknownRegionError as exc:
         print(f"error: capacity open: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from burstfec.channel_sim import (
     verify_deadlines,
 )
 from burstfec.code_model import StreamingCodeSpec, Tap, encode, make_row
-from burstfec.musco import MulticastParams, construct
+from burstfec.musco import MulticastParams, construct, construct_ia_sco
 from burstfec.sco import ScoParams, construct_sco
 
 
@@ -132,9 +132,9 @@ def _reference_verify_deadlines(spec, user, window, seed=0):
     return VerifyResult(True, trials)
 
 
-def _multicast_cases(point):
+def _multicast_cases(point, build=construct):
     p = MulticastParams(*point)
-    spec = construct(p)
+    spec = build(p)
     window = 4 * max(spec.memory, 1)
     return [(spec, UserSpec(p.b1, p.t1), window), (spec, UserSpec(p.b2, p.t2), window)]
 
@@ -147,11 +147,31 @@ def _multicast_cases(point):
         pytest.param([(_sabotaged_sco_2_3(), UserSpec(2, 3), 20)], id="sabotaged"),
         pytest.param(_multicast_cases((1, 2, 2, 4)), id="region-b-1224"),
         pytest.param(_multicast_cases((2, 6, 2, 6)), id="gf256-2626"),
+        pytest.param(_multicast_cases((1, 4, 2, 8)), id="gf256-region-b-1428"),
+        pytest.param(_multicast_cases((2, 6, 7, 7)), id="gf256-f-t2b2-2677"),
+        pytest.param(_multicast_cases((1, 2, 2, 6), construct_ia_sco), id="ia-sco-1226"),
     ],
 )
 def test_window_local_sweep_matches_whole_prefix_decode(cases):
     for spec, user, window in cases:
         assert verify_deadlines(spec, user, window) == _reference_verify_deadlines(spec, user, window)
+
+
+@pytest.mark.parametrize("window", [1, 3, 24])
+def test_verify_builds_each_lengths_equations_once(monkeypatch, window):
+    built = []
+    real_equations = channel_sim._equations
+
+    def counted(spec, erased_times, horizon):
+        built.append(tuple(erased_times))
+        return real_equations(spec, erased_times, horizon)
+
+    monkeypatch.setattr(channel_sim, "_equations", counted)
+    spec = construct(MulticastParams(1, 2, 3, 6))
+    res = verify_deadlines(spec, UserSpec(3, 6), window)
+    assert res.passed and res.trials == 3 * window
+    m = spec.memory
+    assert built == [tuple(range(m, m + length)) for length in (1, 2, 3)]
 
 
 def test_verify_value_check_fires_on_a_wrong_stream(monkeypatch):

@@ -57,6 +57,13 @@ def test_capacity_bad_sweep_exits_invalid(capsys, argv):
     assert out == ""
 
 
+def test_capacity_sweep_refuses_point_flags(capsys):
+    code, out, err = run(capsys, "capacity", "--sweep", "1", "--b1", "9", "--t1", "9")
+    assert code == EXIT_INVALID
+    assert err == "error: --sweep tabulates every point; drop --b1, --t1\n"
+    assert out == ""
+
+
 def test_capacity_sweep_needs_no_point(capsys):
     code, out, err = run(capsys, "capacity", "--sweep", "2")
     assert code == 0 and err == ""
@@ -252,10 +259,18 @@ def test_verify_bad_sweep_input_exits_invalid(capsys, argv, message):
 
 @pytest.mark.parametrize("command", ["verify", "build", "pec"])
 def test_t2_without_b2_rejected(capsys, command):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--b1", "2", "--t1", "3", "--t2", "4"])
-    assert exc.value.code == 2
-    assert "--t2 requires --b2" in capsys.readouterr().err
+    code, out, err = run(capsys, command, "--b1", "2", "--t1", "3", "--t2", "4")
+    assert code == EXIT_INVALID
+    assert err == "error: --t2 requires --b2\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "build", "pec", "capacity"])
+def test_b2_without_t2_exits_invalid(capsys, command):
+    code, out, err = run(capsys, command, "--b1", "2", "--t1", "3", "--b2", "4")
+    assert code == EXIT_INVALID
+    assert err == "error: --b2 requires --t2\n"
+    assert out == ""
 
 
 @pytest.mark.parametrize("command", ["verify", "build"])
@@ -310,8 +325,13 @@ def test_pec_bad_periods_exits_invalid(capsys, periods):
          "variant single_user takes no --b2/--t2"),
         (("--b1", "2", "--t1", "3", "--variant", "region_e"),
          "variant region_e needs a multicast point (--b2/--t2)"),
+        (("--b1", "1", "--t1", "2", "--b2", "2", "--t2", "4", "--variant", "region_e"),
+         "variant region_e does not fit region b"),
+        (("--b1", "1", "--t1", "2", "--b2", "2", "--t2", "4", "--variant", "region_f1"),
+         "variant region_f1 does not fit region b"),
     ],
-    ids=["single-user-variant-on-multicast", "multicast-variant-on-single-user"],
+    ids=["single-user-variant-on-multicast", "multicast-variant-on-single-user",
+         "region-e-variant-on-region-b", "region-f1-variant-on-region-b"],
 )
 def test_pec_variant_mismatch_exits_invalid(capsys, argv, message):
     code, out, err = run(capsys, "pec", *argv)
