@@ -20,10 +20,15 @@ from functools import lru_cache
 class InconsistentSystemError(ArithmeticError):
     """A linear system contradicts itself (0 = nonzero after reduction).
 
+    ``rhs`` is the equation's reduced right-hand side, which is nonzero.
     Not a ``ValueError``: the decoders only ever solve equations read from
     burstfec's own encoded streams, so a contradiction there is a fault in
     the program, not invalid input.
     """
+
+    def __init__(self, rhs: int, message: str = "contradictory equation"):
+        super().__init__(message)
+        self.rhs = rhs
 
 
 def _is_irreducible(poly: int, m: int) -> bool:
@@ -47,16 +52,20 @@ class FieldSpec:
     """GF(2^m) description: ``order_exponent`` m and a reduction polynomial.
 
     The polynomial is an integer bitmask with bit m set (ignored for m=1).
+    m is at most 8, so every element fits in a byte.
 
-    For m > 1 the log/antilog tables built at construction are exposed as
-    read-only attributes, for inner loops that cannot afford a method call
-    per coefficient:
+    For m > 1 the tables built at construction are exposed as read-only
+    attributes, for inner loops that cannot afford a method call per
+    coefficient:
 
     - ``exp``: the antilog table, ``exp[i]`` = g^i for a generator g, twice
       the group order long, so ``exp[log[a] + log[b]]`` is ``a*b`` and
       ``exp[(2^m - 1) - log[a]]`` is ``1/a``, with no reduction;
     - ``log``: ``log[a]`` for nonzero ``a``.  ``log[0]`` is a placeholder
-      with no meaning, so callers must test for zero themselves.
+      with no meaning, so callers must test for zero themselves;
+    - ``scale``: ``scale[l]`` for 0 <= l < 2^m - 1 is a 256-byte
+      ``bytes.translate`` table of x -> g^l * x (0 past the field), so
+      ``bytes.translate`` multiplies every byte of a string by g^l at once.
 
     ``mul`` and ``inv`` are the reference these uses are tested against.
     """
@@ -66,8 +75,8 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         m = self.order_exponent
-        if m < 1:
-            raise ValueError(f"order exponent must be >= 1, got {m}")
+        if not 1 <= m <= 8:
+            raise ValueError(f"order exponent must be in 1..8, got {m}")
         if m > 1:
             poly = self.reduction_polynomial
             if poly.bit_length() - 1 != m:
@@ -79,6 +88,7 @@ class FieldSpec:
             exp, log = _log_tables(m, poly)
             object.__setattr__(self, "exp", exp)
             object.__setattr__(self, "log", log)
+            object.__setattr__(self, "scale", _scale_tables(m, poly))
 
     @property
     def size(self) -> int:
@@ -150,6 +160,26 @@ def _log_tables(m: int, poly: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(powers + powers), tuple(log)
 
 
+@lru_cache(maxsize=None)
+def _scale_tables(m: int, poly: int) -> tuple[bytes, ...]:
+    """``bytes.translate`` tables of x -> g^l * x for every l in the group
+    order, each the one before it translated by the table of g, which is far
+    cheaper than filling 2^m - 1 tables from ``exp``/``log``."""
+    exp, log = _log_tables(m, poly)
+    size = 1 << m
+    times_g = bytes(exp[1 + log[x]] if 0 < x < size else 0 for x in range(256))
+    tables = [bytes(range(size)) + bytes(256 - size)]
+    for _ in range(2, size):
+        tables.append(tables[-1].translate(times_g))
+    return tuple(tables)
+
+
+def _scale_lanes(v: int, table: bytes) -> int:
+    """``v`` with every byte lane multiplied by g^l, ``table`` being
+    ``FieldSpec.scale[l]``."""
+    return int.from_bytes(v.to_bytes((v.bit_length() + 7) >> 3, "little").translate(table), "little")
+
+
 GF2 = FieldSpec(1)
 GF256 = FieldSpec(8, 0x11D)
 
@@ -172,6 +202,13 @@ class IncrementalSolver:
 
     GF(2) rows are stored as int bitmasks (column j <-> bit j); larger
     fields use sparse coefficient dicts with the pivot normalized to 1.
+
+    A right-hand side may pack a vector into one int: bit j is entry j on
+    GF(2), where XOR already works entry-wise, and byte lane j on GF(2^m),
+    whose products scale every lane at once through ``FieldSpec.scale``.
+    Elimination is linear in the rhs, so with unit vectors as rhs it
+    returns, in place of values, the combinations of the equations' rhs
+    that give them.
     """
 
     def __init__(self, field: FieldSpec):
@@ -188,8 +225,9 @@ class IncrementalSolver:
 
         For GF(2) an int bitmask is also accepted.  Returns ``(col, value)``
         per newly determined unknown, in pivot insertion order.  Raises
-        :class:`InconsistentSystemError` when the equation contradicts the
-        current span.
+        :class:`InconsistentSystemError`, carrying the reduced rhs, when the
+        equation contradicts the current span; the solver is then as it was
+        before the call.
         """
         if self._binary:
             return self._add_binary(coeffs, rhs)
@@ -224,7 +262,7 @@ class IncrementalSolver:
                 scan ^= low
         if mask == 0:
             if rhs:
-                raise InconsistentSystemError("contradictory equation")
+                raise InconsistentSystemError(rhs)
             return []
         col = (mask & -mask).bit_length() - 1
         bit = 1 << col
@@ -245,8 +283,10 @@ class IncrementalSolver:
 
     def _add_generic(self, row: dict[int, int], rhs: int) -> list[tuple[int, int]]:
         # Rows hold nonzero coefficients only, so every product is a lookup
-        # in the field's tables: a*b = exp[log a + log b].
-        exp, log = self.field.exp, self.field.log
+        # in the field's tables: a*b = exp[log a + log b].  An rhs of more
+        # than one lane (>= size) is scaled lane-wise by ``scale`` instead.
+        field = self.field
+        exp, log, scale, size = field.exp, field.log, field.scale, field.size
         pivots = self._pivots
         # One pass over the pivot columns the row holds.  Every pivot row is
         # zero on every other pivot column (RREF), so eliminating one never
@@ -262,15 +302,15 @@ class IncrementalSolver:
                 else:
                     del row[cc]
             if prhs:
-                rhs ^= exp[lf + log[prhs]]
+                rhs ^= exp[lf + log[prhs]] if prhs < size else _scale_lanes(prhs, scale[lf])
         if not row:
             if rhs:
-                raise InconsistentSystemError("contradictory equation")
+                raise InconsistentSystemError(rhs)
             return []
         col = min(row)
         # Normalize the pivot to 1 by dividing by the lead: subtract its log
         # mod the group order, and keep the row's logs for the walk below.
-        order = self.field.size - 1
+        order = size - 1
         lead = log[row[col]]
         if len(row) == 1:
             lrow = ((col, 0),)
@@ -278,7 +318,9 @@ class IncrementalSolver:
         else:
             lrow = [(c, (log[v] - lead) % order) for c, v in row.items()]
             row = {c: exp[lv] for c, lv in lrow}
-        if rhs:
+        if rhs >= size:
+            rhs = _scale_lanes(rhs, scale[-lead % order])
+        elif rhs:
             lrhs = (log[rhs] - lead) % order
             rhs = exp[lrhs]
         # Back-substitute into the rows that hold the new pivot column; a
@@ -299,7 +341,7 @@ class IncrementalSolver:
                     else:
                         del nrow[cc]
                 if rhs:
-                    prhs ^= exp[lf + lrhs]
+                    prhs ^= exp[lf + lrhs] if rhs < size else _scale_lanes(rhs, scale[lf])
                 pivots[c] = (nrow, prhs)
                 if len(nrow) == 1:
                     fresh.append((c, prhs))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .algebra import IncrementalSolver
+from .algebra import IncrementalSolver, InconsistentSystemError
 from .code_model import StreamingCodeSpec, encode
 
 ERASED = None  # erasure mark in a received stream
@@ -167,19 +167,14 @@ def _equations(spec: StreamingCodeSpec, erased_times: Sequence[int], horizon: in
                 yield t, pos, eq, known
 
 
-def _solve(field, equations, received: Sequence, n_unknowns: int, shift: int = 0) -> list:
-    """Feed ``equations`` (as :func:`_equations` yields them) to one
-    incremental solver, every time in them moved ``shift`` steps later.
-
-    The rhs of each equation is read from ``received`` at the moved times.
-    Returns ``(recovery_time, value)`` per unknown column, ``(None, None)``
-    when the equations never determine it; recovery times are moved too.
-    """
+def _with_rhs(field, equations, received: Sequence, shift: int):
+    """``(t, eq, rhs)`` per equation of ``equations`` (as :func:`_equations`
+    yields them), every time in it moved ``shift`` steps later and the rhs
+    read from ``received`` at the moved times: the parity sub-symbol less
+    its known taps."""
     binary = field.order_exponent == 1
     if not binary:
         exp, log = field.exp, field.log
-    solver = IncrementalSolver(field)
-    recovered = [(None, None)] * n_unknowns
     for t, pos, eq, known in equations:
         t += shift
         rhs = received[t][pos]
@@ -191,9 +186,84 @@ def _solve(field, equations, received: Sequence, n_unknowns: int, shift: int = 0
                 value = received[t - delay][row]
                 if value:
                     rhs ^= exp[w + log[value]]
+        yield t, eq, rhs
+
+
+def _solve(field, equations, received: Sequence, n_unknowns: int) -> list:
+    """Feed ``equations`` to one incremental solver, each rhs read from
+    ``received``.
+
+    Returns ``(recovery_time, value)`` per unknown column, ``(None, None)``
+    when the equations never determine it.
+    """
+    solver = IncrementalSolver(field)
+    recovered = [(None, None)] * n_unknowns
+    for t, eq, rhs in _with_rhs(field, equations, received, 0):
         for col, value in solver.add_equation(eq, rhs):
             recovered[col] = (t, value)
     return recovered
+
+
+def _combinations(field, equations: Sequence, n_unknowns: int):
+    """Eliminate ``equations`` once, the rhs of the j-th being the unit
+    vector e_j: bit j of an int on GF(2), byte lane j on GF(2^m).
+
+    Elimination is linear in the rhs, so the solver hands back, in place of
+    values, combinations of the equations' rhs values.  Returns
+    ``(times, combinations, residuals)``: per unknown column its recovery
+    time and combination, ``None`` and 0 when the equations never determine
+    it, and per dependent equation the combination that must be 0 for the
+    system to be consistent.  A combination is an int on GF(2) and a list of
+    ``(equation index, log coefficient)`` on GF(2^m), as :func:`_evaluate`
+    reads it.
+    """
+    binary = field.order_exponent == 1
+    lane = 1 if binary else 8
+    solver = IncrementalSolver(field)
+    times = [None] * n_unknowns
+    combinations = [0] * n_unknowns
+    residuals = []
+    for j, (t, _, eq, _) in enumerate(equations):
+        try:
+            fresh = solver.add_equation(eq, 1 << (lane * j))
+        except InconsistentSystemError as exc:  # eq is in the span: e_j survives
+            residuals.append(exc.rhs)
+            continue
+        for col, combo in fresh:
+            times[col] = t
+            combinations[col] = combo
+    if not binary:
+        log = field.log
+
+        def terms(combo):
+            lanes = combo.to_bytes((combo.bit_length() + 7) >> 3, "little")
+            return [(j, log[c]) for j, c in enumerate(lanes) if c]
+
+        combinations = [terms(combo) for combo in combinations]
+        residuals = [terms(combo) for combo in residuals]
+    return times, combinations, residuals
+
+
+def _evaluate(field, combinations, values: Sequence[int]) -> list[int]:
+    """The value of each of :func:`_combinations`' ``combinations`` at the
+    rhs ``values``."""
+    if field.order_exponent == 1:
+        packed = 0
+        for j, value in enumerate(values):
+            if value:
+                packed |= 1 << j
+        return [(combo & packed).bit_count() & 1 for combo in combinations]
+    exp, log = field.exp, field.log
+    logs = [log[value] if value else None for value in values]
+    out = []
+    for terms in combinations:
+        acc = 0
+        for j, lc in terms:
+            lv = logs[j]
+            if lv is not None:
+                acc ^= exp[lc + lv]
+        out.append(acc)
+    return out
 
 
 def generic_decode(
@@ -285,10 +355,14 @@ def verify_deadlines(
     and every burst length in [1, user.burst] must decode every erased source
     sub-symbol by its deadline t + user.delay (inclusive).
 
-    All trials decode one encoded stream, and each checks the values it
-    decodes against the encoded source.  Returns the first counterexample
-    found, scanning starts in order.  Raises ``ValueError`` when ``window``
-    is below 1 and :class:`MisdecodeError` on a wrong decoded value.
+    All trials decode one encoded stream.  Each burst length is eliminated
+    once; every trial then evaluates that elimination's recovery
+    combinations at its own received values, checks each decoded value
+    against the encoded source and checks that every dependent equation
+    agrees with the others.  Returns the first counterexample found,
+    scanning starts in order.  Raises ``ValueError`` when ``window`` is
+    below 1, :class:`MisdecodeError` on a wrong decoded value and
+    :class:`InconsistentSystemError` on a contradicting equation.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -296,33 +370,47 @@ def verify_deadlines(
         return VerifyResult(True, 0)
     memory = spec.memory
     n_src = spec.n_source
+    field = spec.field
     horizon = memory + window + user.burst + user.delay + 1
-    src = source_fill(n_src, horizon, spec.field.size, seed)
+    src = source_fill(n_src, horizon, field.size, seed)
     channel = encode(spec, src, horizon)
-    # Each length's equations are built once, for the burst at start
-    # ``memory``, and replayed shifted to every later start.  That is exact:
-    # every start is >= memory, so every tap of a received time t >= start
-    # reaches t - delay >= 0, and the t - delay >= 0 filter and the erased
-    # columns are the same at every start.  Equations arriving after the
-    # last deadline, start + length + delay, cannot help meet it.
-    systems = [
-        list(_equations(spec, range(memory, memory + length), memory + length + user.delay + 1))
-        for length in range(1, user.burst + 1)
-    ]
+    # Each length's equations are built and eliminated once, for the burst
+    # at start ``memory``, and replayed shifted to every later start.  That
+    # is exact: every start is >= memory, so every tap of a received time
+    # t >= start reaches t - delay >= 0, and the t - delay >= 0 filter and
+    # the erased columns are the same at every start.  So are the row
+    # operations, which never look at an rhs: only the rhs values move, and
+    # each start evaluates the combinations the one elimination recorded.
+    # Equations arriving after the last deadline, start + length + delay,
+    # cannot help meet it.
+    plans = []
+    for length in range(1, user.burst + 1):
+        last = memory + length + user.delay
+        equations = list(_equations(spec, range(memory, memory + length), last + 1))
+        plans.append((equations, *_combinations(field, equations, length * n_src)))
     trials = 0
     for start in range(memory, memory + window):
-        for length, equations in enumerate(systems, start=1):
+        shift = start - memory
+        for length, (equations, times, combinations, residuals) in enumerate(plans, start=1):
             trials += 1
-            recovered = _solve(spec.field, equations, channel, length * n_src, start - memory)
-            for col, (when, value) in enumerate(recovered):
+            values = [rhs for _, _, rhs in _with_rhs(field, equations, channel, shift)]
+            contradiction = next((v for v in _evaluate(field, residuals, values) if v), 0)
+            if contradiction:
+                raise InconsistentSystemError(
+                    contradiction, f"contradictory equation at burst start {start}, length {length}"
+                )
+            decoded = _evaluate(field, combinations, values)
+            for col, when in enumerate(times):
                 t, row = start + col // n_src, col % n_src
-                if when is None or when > t + user.delay:
+                if when is None or when + shift > t + user.delay:
                     return VerifyResult(
                         False,
                         trials,
-                        Counterexample(start, length, (t, row), t + user.delay, when),
+                        Counterexample(
+                            start, length, (t, row), t + user.delay, None if when is None else when + shift
+                        ),
                     )
-                if value != src[t][row]:
+                if decoded[col] != src[t][row]:
                     raise MisdecodeError(
                         f"decoder returned a wrong value at {(t, row)}: encoder bug"
                     )

@@ -1,10 +1,11 @@
 """Command-line front end: classify, capacity tables, build, verify, pec.
 
 Exit codes: 0 success, 2 verification failure, 3 open-capacity refusal,
-4 invalid parameters.  Commands raise; ``main`` alone maps an
-``UnknownRegionError`` to 3 and any other ``ValueError`` to 4.  Anything
-else, such as a decoder contradiction on burstfec's own encoded stream
-(``InconsistentSystemError``), is a fault in the program and propagates.
+4 invalid parameters, usage errors included.  Commands raise; ``main``
+alone maps an ``UnknownRegionError`` to 3 and any other ``ValueError`` to
+4.  Anything else, such as a decoder contradiction on burstfec's own
+encoded stream (``InconsistentSystemError``), is a fault in the program
+and propagates.
 """
 
 from __future__ import annotations
@@ -284,8 +285,18 @@ def cmd_pec(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error with exit 4, invalid parameters, instead of
+    argparse's 2, the code of a failed verification.  Subparsers are built
+    from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="burstfec",
         description="streaming erasure codes over burst channels: regions, capacities, codes, sweeps",
     )

@@ -12,6 +12,7 @@ from burstfec.algebra import (
     IncrementalSolver,
     InconsistentSystemError,
     _gf_mul,
+    _scale_lanes,
 )
 
 GF16_PRIMITIVE_X = FieldSpec(4, 0x13)
@@ -86,6 +87,82 @@ def test_reducible_polynomial_rejected():
         FieldSpec(8, 0x100)  # x^8, obviously reducible
     with pytest.raises(ValueError):
         FieldSpec(4, 0x11D)  # degree mismatch
+
+
+def test_order_exponent_outside_a_byte_rejected():
+    with pytest.raises(ValueError, match="order exponent must be in 1..8"):
+        FieldSpec(9, 0x211)  # x^9 + x^4 + 1: irreducible, but a byte cannot hold it
+    with pytest.raises(ValueError, match="order exponent must be in 1..8"):
+        FieldSpec(0)
+
+
+LANE_FIELDS = pytest.mark.parametrize(
+    "field",
+    [GF256, GF16_PRIMITIVE_X, GF16_X_NOT_PRIMITIVE],
+    ids=["gf256", "gf16-0x13", "gf16-0x1f"],
+)
+
+
+@LANE_FIELDS
+def test_scale_tables_equal_the_exp_log_definition(field):
+    # built by chaining translate; entry for entry they are x -> g^l * x
+    assert len(field.scale) == field.size - 1
+    for l, table in enumerate(field.scale):
+        assert len(table) == 256
+        want = bytes(field.exp[l + field.log[x]] if 0 < x < field.size else 0 for x in range(256))
+        assert table == want, l
+
+
+@LANE_FIELDS
+def test_lane_scaling_equals_per_lane_mul(field):
+    rng = random.Random(field.reduction_polynomial)
+    for _ in range(40):
+        lanes = [rng.choice((0, rng.randrange(field.size))) for _ in range(rng.randint(1, 40))]
+        lanes[-1] = rng.randrange(1, field.size)  # the top lane sets the length
+        v = int.from_bytes(bytes(lanes), "little")
+        for l in range(field.size - 1):
+            g_l = field.exp[l]
+            got = _scale_lanes(v, field.scale[l]).to_bytes(len(lanes), "little")
+            assert list(got) == [field.mul(g_l, x) for x in lanes], l
+
+
+@LANE_FIELDS
+def test_lane_packed_rhs_equals_one_solve_per_lane(field):
+    # k right-hand sides packed as byte lanes go through one solver exactly
+    # as k scalar solves would, contradictions included
+    rng = random.Random(field.size * 7 + field.reduction_polynomial)
+    kinds = set()
+    for trial in range(150):
+        n, k = rng.randint(1, 8), rng.randint(2, 6)
+        truths = [[rng.randrange(field.size) for _ in range(n)] for _ in range(k)]
+        packed, scalars = IncrementalSolver(field), [IncrementalSolver(field) for _ in range(k)]
+        for _ in range(rng.randint(1, n + 4)):
+            support = rng.sample(range(n), rng.randint(1, min(n, 4)))
+            row = {j: rng.randrange(1, field.size) for j in support}
+            rhs = [0] * k
+            for lane, truth in enumerate(truths):
+                for j, c in row.items():
+                    rhs[lane] ^= field.mul(c, truth[j])
+            if trial % 4 == 0 and rng.random() < 0.3:
+                rhs[rng.randrange(k)] ^= rng.randrange(1, field.size)
+            want = []
+            for solver, r in zip(scalars, rhs):
+                try:
+                    want.append(solver.add_equation(row, r))
+                except InconsistentSystemError as exc:
+                    want.append(exc.rhs)
+            try:
+                got = packed.add_equation(row, int.from_bytes(bytes(rhs), "little"))
+            except InconsistentSystemError as exc:
+                kinds.add("inconsistent")
+                lanes = exc.rhs.to_bytes(k, "little")
+                assert [w if isinstance(w, int) else 0 for w in want] == list(lanes)
+                continue
+            kinds.add("solved")
+            assert all(isinstance(w, list) for w in want)
+            for lane, fresh in enumerate(want):
+                assert [(c, v.to_bytes(k, "little")[lane]) for c, v in got] == fresh
+    assert kinds == {"inconsistent", "solved"}
 
 
 def _solve(field, rows, n):

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import pytest
 
 from burstfec import channel_sim
-from burstfec.algebra import GF2
+from burstfec.algebra import GF2, IncrementalSolver, InconsistentSystemError
 from burstfec.channel_sim import (
     ERASED,
     Counterexample,
@@ -139,6 +139,14 @@ def _multicast_cases(point, build=construct):
     return [(spec, UserSpec(p.b1, p.t1), window), (spec, UserSpec(p.b2, p.t2), window)]
 
 
+def _user2_one_longer(point):
+    """User 2's sweep with a burst one longer than the code is built for: it
+    fails, so the comparison covers counterexamples, not only passes."""
+    p = MulticastParams(*point)
+    spec = construct(p)
+    return [(spec, UserSpec(p.b2 + 1, p.t2), 4 * max(spec.memory, 1))]
+
+
 @pytest.mark.parametrize(
     "cases",
     [
@@ -150,6 +158,8 @@ def _multicast_cases(point, build=construct):
         pytest.param(_multicast_cases((1, 4, 2, 8)), id="gf256-region-b-1428"),
         pytest.param(_multicast_cases((2, 6, 7, 7)), id="gf256-f-t2b2-2677"),
         pytest.param(_multicast_cases((1, 2, 2, 6), construct_ia_sco), id="ia-sco-1226"),
+        pytest.param(_user2_one_longer((2, 6, 2, 6)), id="gf256-2626-user2-longer"),
+        pytest.param(_user2_one_longer((1, 4, 2, 8)), id="gf256-region-b-1428-user2-longer"),
     ],
 )
 def test_window_local_sweep_matches_whole_prefix_decode(cases):
@@ -172,6 +182,56 @@ def test_verify_builds_each_lengths_equations_once(monkeypatch, window):
     assert res.passed and res.trials == 3 * window
     m = spec.memory
     assert built == [tuple(range(m, m + length)) for length in (1, 2, 3)]
+
+
+def test_verify_eliminates_each_length_once(monkeypatch):
+    # one elimination per burst length: the solver sees the same equations
+    # whatever the number of starts the sweep replays them at
+    calls = []
+    real_add = IncrementalSolver.add_equation
+
+    def counted(self, coeffs, rhs):
+        calls.append(rhs)
+        return real_add(self, coeffs, rhs)
+
+    monkeypatch.setattr(IncrementalSolver, "add_equation", counted)
+    spec = construct(MulticastParams(1, 2, 3, 6))
+    counts = []
+    for window in (1, 3, 24):
+        calls.clear()
+        assert verify_deadlines(spec, UserSpec(3, 6), window).passed
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts == [counts[0]] * 3
+
+
+def _flip_parity(monkeypatch, t, pos):
+    """Make the sweep encode a stream whose sub-symbol ``pos`` at time ``t``
+    is flipped."""
+    real_encode = channel_sim.encode
+
+    def flipped(spec, src, horizon):
+        channel = real_encode(spec, src, horizon)
+        sym = list(channel[t])
+        sym[pos] ^= 1
+        channel[t] = tuple(sym)
+        return channel
+
+    monkeypatch.setattr(channel_sim, "encode", flipped)
+
+
+def test_verify_consistency_check_fires_on_a_redundant_parity(monkeypatch):
+    # sco(2,3) sends p0[i] = s0[i-3] + s2[i-1] and p1[i] = s1[i-3] + s2[i-2]
+    # (sub-symbols 3 and 4).  For bursts of length 1 from start 3 = memory,
+    # p0[4] recovers s2[3] and p1[5] reads s2[3] again: p1[5] is a dependent
+    # equation at start 3, and no equation reads it at a later start.  So
+    # flipping it changes no decoded value, and only the check that every
+    # dependent equation agrees with the rest can see it.
+    spec = construct_sco(ScoParams(2, 3))
+    user = UserSpec(1, 3)
+    assert verify_deadlines(spec, user, 4).passed
+    _flip_parity(monkeypatch, 5, 4)
+    with pytest.raises(InconsistentSystemError, match="burst start 3, length 1"):
+        verify_deadlines(spec, user, 4)
 
 
 def test_verify_value_check_fires_on_a_wrong_stream(monkeypatch):

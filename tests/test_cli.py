@@ -173,12 +173,18 @@ def test_bad_spec_text_exits_invalid(capsys, monkeypatch):
 def test_decoder_contradiction_is_not_invalid_input(capsys, monkeypatch):
     # a contradiction while decoding burstfec's own stream is a fault in the
     # program: it must not be reported as invalid parameters (exit 4)
-    from burstfec.algebra import IncrementalSolver, InconsistentSystemError
+    from burstfec import channel_sim
+    from burstfec.algebra import InconsistentSystemError
 
-    def contradiction(self, coeffs, rhs):
-        raise InconsistentSystemError("contradictory equation")
+    real_encode = channel_sim.encode
 
-    monkeypatch.setattr(IncrementalSolver, "add_equation", contradiction)
+    def contradiction(spec, src, horizon):
+        # flip p1[5], which the first trial reads only in a dependent equation
+        channel = real_encode(spec, src, horizon)
+        channel[5] = channel[5][:4] + (channel[5][4] ^ 1,)
+        return channel
+
+    monkeypatch.setattr(channel_sim, "encode", contradiction)
     with pytest.raises(InconsistentSystemError):
         main(["verify", "--b1", "2", "--t1", "3", "--window", "4"])
     assert capsys.readouterr().err == ""
@@ -255,6 +261,30 @@ def test_verify_bad_sweep_input_exits_invalid(capsys, argv, message):
     assert code == EXIT_INVALID
     assert err == f"error: {message}\n"
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("build", "--t1", "3"), ("verify", "--b1", "x", "--t1", "3"),
+     ("verify", "--b1", "2", "--t1", "3", "--bogus", "1"), ()],
+    ids=["missing-required", "not-an-integer", "unknown-flag", "no-command"],
+)
+def test_usage_error_exits_invalid(capsys, argv):
+    # a usage error is invalid input (4), never a failed verification (2)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_INVALID
+    assert err.startswith("usage: burstfec") and "error: " in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")], ids=["top", "verify"])
+def test_help_exits_ok(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: burstfec")
 
 
 @pytest.mark.parametrize("command", ["verify", "build", "pec"])
