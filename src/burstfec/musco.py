@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .algebra import GF2, GF256, FieldSpec
@@ -424,7 +423,6 @@ class RegionEPlan:
         )
 
 
-@lru_cache(maxsize=None)
 def region_e_plan(params: MulticastParams, field: FieldSpec | None = None) -> RegionEPlan:
     p = params.normalized()
     if classify(p) is not Region.E:
@@ -515,13 +513,15 @@ def construct_region_f_T2B2(params: MulticastParams, field: FieldSpec | None = N
 # -- dispatch ------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def construct(params: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
     """Capacity-achieving code for any region where one is known.
 
     Raises :class:`UnknownRegionError` inside region (f) (capacity open),
     :class:`NonIntegerAlphaError` in regions (a)/(b) with fractional B2/B1,
     and :class:`InfeasibleParamsError` when some user is infeasible.
+
+    Every call builds a new spec; only the block codes it lays along the
+    diagonals (:func:`construct_ldbebc`) are cached, once per (B, T, field).
     """
     p = params.normalized()
     region = classify(p)

@@ -377,3 +377,27 @@ def test_pec_csv_out(tmp_path, capsys):
     assert code == 0
     rows = list(csv.DictReader(out_file.read_text().splitlines()))
     assert {"t", "row", "erased", "recovery_time"} == set(rows[0])
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("classify", "--b1", "1", "--t1", "2", "--b2", "2", "--t2", "4"),
+        ("capacity", "--b1", "1", "--t1", "2", "--b2", "2", "--t2", "4"),
+        ("build", "--b1", "2", "--t1", "3"),
+        ("verify", "--b1", "2", "--t1", "3", "--window", "3"),
+        ("pec", "--b1", "2", "--t1", "3", "--periods", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/x.txt", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing-directory", "directory"],
+)
+def test_unwritable_out_exits_invalid(tmp_path, capsys, command, target, reason):
+    # verify and pec still print their summary to stdout before the write
+    path = tmp_path / target
+    code, _, err = run(capsys, *command, "--out", str(path))
+    assert code == EXIT_INVALID
+    assert err == f"error: cannot write --out {path}: {reason}\n"

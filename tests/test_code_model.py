@@ -192,6 +192,29 @@ def test_text_round_trip_gf256_coefficients():
     assert back.field == GF256
 
 
+@st.composite
+def _field_spec(draw):
+    field = draw(st.sampled_from([GF2, GF256]))
+    n_source = draw(st.integers(1, 3))
+    tap = st.builds(Tap, st.integers(0, n_source - 1), st.integers(0, 5),
+                    st.integers(1, field.size - 1))
+    rows = draw(st.lists(st.lists(tap, max_size=4), min_size=1, max_size=3))
+    return StreamingCodeSpec(field, n_source, tuple(make_row(r, field) for r in rows))
+
+
+@settings(max_examples=80)
+@given(_field_spec(), st.data())
+def test_text_round_trip_keeps_rows_text_and_encoding(spec, data):
+    text = spec_to_text(spec)
+    back = spec_from_text(text)
+    assert (back.field, back.n_source, back.parity_rows) == (spec.field, spec.n_source, spec.parity_rows)
+    assert spec_to_text(back) == text
+    horizon = spec.memory + 4
+    symbol = st.tuples(*[st.integers(0, spec.field.size - 1)] * spec.n_source)
+    src = data.draw(st.lists(symbol, min_size=horizon, max_size=horizon))
+    assert encode(back, src, horizon) == encode(spec, src, horizon)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -84,8 +84,6 @@ def test_each_block_candidate_verified_once_across_the_grid(monkeypatch):
 
     monkeypatch.setattr(ldbebc, "verify_ldbebc", counting)
     construct_ldbebc.cache_clear()
-    musco.construct.cache_clear()
-    musco.region_e_plan.cache_clear()
     built = 0
     for pt in itertools.product(range(1, 9), repeat=4):
         p = musco.MulticastParams(*pt)

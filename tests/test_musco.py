@@ -1,8 +1,12 @@
+import gc
+import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from burstfec.channel_sim import UserSpec, verify_deadlines
+from burstfec.code_model import spec_to_text
 from burstfec.musco import (
     MulticastParams,
     NonIntegerAlphaError,
@@ -293,3 +297,20 @@ def test_construct_dispatch_rate_equals_capacity_spot():
                  (4, 5, 7, 10), (4, 4, 5, 6), (2, 3, 4, 4), (2, 2, 4, 6)]:
         p = P(*args)
         assert construct(p).rate == capacity(p).capacity, p
+
+
+def test_construct_keeps_no_spec_alive():
+    # construct() is no memo: two calls give equal specs, and a spec lives
+    # only as long as its caller holds it, even after a grid of builds.
+    p = P(2, 3, 4, 8)
+    first, second = construct(p), construct(p)
+    assert first == second and spec_to_text(first) == spec_to_text(second)
+    refs = [weakref.ref(first)]
+    del first, second
+    for pt in itertools.product(range(1, 9), repeat=4):
+        q = P(*pt)
+        if q.b1 <= q.b2 and constructible(q):
+            refs.append(weakref.ref(construct(q)))
+    assert len(refs) > 700
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
