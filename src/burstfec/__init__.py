@@ -2,7 +2,7 @@
 
 Core surface:
 
-- :mod:`burstfec.algebra` -- GF(2^m) arithmetic and exact elimination
+- :mod:`burstfec.algebra` -- GF(2) and GF(2^8) arithmetic and exact elimination
 - :mod:`burstfec.code_model` -- tap-set code specs, encoder, golden text form
 - :mod:`burstfec.ldbebc` -- the low-delay block-code primitive
 - :mod:`burstfec.sco` -- single-user codes by diagonal interleaving

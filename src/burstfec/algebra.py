@@ -1,9 +1,9 @@
-"""Arithmetic over GF(2^m) and exact linear-system solving.
+"""Arithmetic over GF(2) and GF(2^8), and exact linear-system solving.
 
-Sub-symbols live in a characteristic-2 field.  The default field is plain
-GF(2) (addition is XOR, multiplication is AND), which is all the shipped
-constructions need; GF(2^8) with the reduction polynomial 0x11D is kept as a
-fallback for block codes that have no binary realization.
+Sub-symbols live in one of these two characteristic-2 fields.  The default
+is plain GF(2) (addition is XOR, multiplication is AND), which is all the
+shipped constructions need; GF(2^8) with the reduction polynomial 0x11D is
+kept as a fallback for block codes that have no binary realization.
 
 The elimination code is shared by the block-code verifier and the streaming
 decoder.  It keeps the system in reduced row echelon form at all times so
@@ -14,7 +14,6 @@ assignment gives it the same value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 class InconsistentSystemError(ArithmeticError):
@@ -31,64 +30,56 @@ class InconsistentSystemError(ArithmeticError):
         self.rhs = rhs
 
 
-def _is_irreducible(poly: int, m: int) -> bool:
-    # Trial division by all polynomials of degree 1..m//2 over GF(2).
-    for d in range(1, m // 2 + 1):
-        for cand in range(1 << d, 1 << (d + 1)):
-            if _poly_mod(poly, cand) == 0:
-                return False
-    return True
+def _gf256_tables() -> tuple[tuple[int, ...], tuple[int, ...], tuple[bytes, ...]]:
+    """``exp``, ``log`` and ``scale`` of GF(2^8) under 0x11D.  x = 2 is
+    primitive there, so ``exp`` is built by doubling, and each ``scale``
+    table is the one before it translated by the doubling table."""
+    times_2 = bytes((x << 1) ^ 0x11D if x & 0x80 else x << 1 for x in range(256))
+    powers = [1]
+    for _ in range(254):
+        powers.append(times_2[powers[-1]])
+    log = [0] * 256
+    for i, x in enumerate(powers):
+        log[x] = i
+    scale = [bytes(range(256))]
+    for _ in range(254):
+        scale.append(scale[-1].translate(times_2))
+    return tuple(powers + powers), tuple(log), tuple(scale)
 
 
-def _poly_mod(a: int, b: int) -> int:
-    db = b.bit_length() - 1
-    while a.bit_length() - 1 >= db and a:
-        a ^= b << (a.bit_length() - 1 - db)
-    return a
+_GF256_EXP, _GF256_LOG, _GF256_SCALE = _gf256_tables()
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """GF(2^m) description: ``order_exponent`` m and a reduction polynomial.
+    """GF(2^m) for ``order_exponent`` m = 1 (GF(2)) or m = 8 (GF(2^8) under
+    the reduction polynomial 0x11D), so every element fits in a byte.
 
-    The polynomial is an integer bitmask with bit m set (ignored for m=1).
-    m is at most 8, so every element fits in a byte.
+    GF(2^8) exposes its tables as read-only attributes, for inner loops that
+    cannot afford a method call per coefficient:
 
-    For m > 1 the tables built at construction are exposed as read-only
-    attributes, for inner loops that cannot afford a method call per
-    coefficient:
-
-    - ``exp``: the antilog table, ``exp[i]`` = g^i for a generator g, twice
-      the group order long, so ``exp[log[a] + log[b]]`` is ``a*b`` and
-      ``exp[(2^m - 1) - log[a]]`` is ``1/a``, with no reduction;
+    - ``exp``: the antilog table, ``exp[i]`` = 2^i, twice the group order
+      long, so ``exp[log[a] + log[b]]`` is ``a*b`` and ``exp[255 - log[a]]``
+      is ``1/a``, with no reduction;
     - ``log``: ``log[a]`` for nonzero ``a``.  ``log[0]`` is a placeholder
       with no meaning, so callers must test for zero themselves;
-    - ``scale``: ``scale[l]`` for 0 <= l < 2^m - 1 is a 256-byte
-      ``bytes.translate`` table of x -> g^l * x (0 past the field), so
-      ``bytes.translate`` multiplies every byte of a string by g^l at once.
+    - ``scale``: ``scale[l]`` for 0 <= l < 255 is the 256-byte table of
+      x -> 2^l * x, so ``bytes.translate`` multiplies every byte of a string
+      by 2^l at once.
 
     ``mul`` and ``inv`` are the reference these uses are tested against.
     """
 
     order_exponent: int = 1
-    reduction_polynomial: int = 0x11D
 
     def __post_init__(self) -> None:
         m = self.order_exponent
-        if not 1 <= m <= 8:
-            raise ValueError(f"order exponent must be in 1..8, got {m}")
-        if m > 1:
-            poly = self.reduction_polynomial
-            if poly.bit_length() - 1 != m:
-                raise ValueError(
-                    f"reduction polynomial 0x{poly:X} does not have degree {m}"
-                )
-            if not _is_irreducible(poly, m):
-                raise ValueError(f"reduction polynomial 0x{poly:X} is reducible")
-            exp, log = _log_tables(m, poly)
-            object.__setattr__(self, "exp", exp)
-            object.__setattr__(self, "log", log)
-            object.__setattr__(self, "scale", _scale_tables(m, poly))
+        if m not in (1, 8):
+            raise ValueError(f"order exponent must be 1 or 8, got {m}")
+        if m == 8:
+            object.__setattr__(self, "exp", _GF256_EXP)
+            object.__setattr__(self, "log", _GF256_LOG)
+            object.__setattr__(self, "scale", _GF256_SCALE)
 
     @property
     def size(self) -> int:
@@ -114,74 +105,18 @@ class FieldSpec:
             return 1
         return self.exp[self.size - 1 - self.log[a]]
 
-    def pow(self, a: int, n: int) -> int:
-        result = 1
-        for _ in range(n):
-            result = self.mul(result, a)
-        return result
-
-
-def _gf_mul(m: int, poly: int, a: int, b: int) -> int:
-    """Shift-and-add product reduced by ``poly``: the reference the
-    log/antilog tables are built from."""
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        if a >> m:
-            a ^= poly
-        b >>= 1
-    return out
-
-
-@lru_cache(maxsize=None)
-def _log_tables(m: int, poly: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Antilog table ``exp`` (twice the group order long, so a sum of two
-    logs needs no reduction) and log table of GF(2^m) under ``poly``.
-
-    Any irreducible polynomial is accepted, and x need not be primitive for
-    it, so the generator is found by search: the first element whose powers
-    run through all 2^m - 1 nonzero values.
-    """
-    order = (1 << m) - 1
-    for g in range(2, order + 1):
-        powers = [1]
-        while len(powers) < order:
-            nxt = _gf_mul(m, poly, powers[-1], g)
-            if nxt == 1:
-                break
-            powers.append(nxt)
-        if len(powers) == order:
-            break
-    log = [0] * (order + 1)
-    for i, x in enumerate(powers):
-        log[x] = i
-    return tuple(powers + powers), tuple(log)
-
-
-@lru_cache(maxsize=None)
-def _scale_tables(m: int, poly: int) -> tuple[bytes, ...]:
-    """``bytes.translate`` tables of x -> g^l * x for every l in the group
-    order, each the one before it translated by the table of g, which is far
-    cheaper than filling 2^m - 1 tables from ``exp``/``log``."""
-    exp, log = _log_tables(m, poly)
-    size = 1 << m
-    times_g = bytes(exp[1 + log[x]] if 0 < x < size else 0 for x in range(256))
-    tables = [bytes(range(size)) + bytes(256 - size)]
-    for _ in range(2, size):
-        tables.append(tables[-1].translate(times_g))
-    return tuple(tables)
-
 
 def _scale_lanes(v: int, table: bytes) -> int:
-    """``v`` with every byte lane multiplied by g^l, ``table`` being
+    """``v`` with every byte lane multiplied by 2^l, ``table`` being
     ``FieldSpec.scale[l]``."""
     return int.from_bytes(v.to_bytes((v.bit_length() + 7) >> 3, "little").translate(table), "little")
 
 
 GF2 = FieldSpec(1)
-GF256 = FieldSpec(8, 0x11D)
+GF256 = FieldSpec(8)
+
+# The fields by the name the text form and the CLI give them.
+FIELDS = {"gf2": GF2, "gf256": GF256}
 
 
 class IncrementalSolver:
@@ -196,15 +131,15 @@ class IncrementalSolver:
     eliminated from it, and a singleton row never holds another pivot's
     column, so the fresh singletons are found among the rows an equation
     touches plus its own new row; the other rows need no rescan.  For the
-    same reason a singleton row never changes again, so the GF(2^m) path
+    same reason a singleton row never changes again, so the GF(2^8) path
     looks for touched rows only among the pivots whose rows are not yet
     singletons, kept in pivot order.
 
-    GF(2) rows are stored as int bitmasks (column j <-> bit j); larger
-    fields use sparse coefficient dicts with the pivot normalized to 1.
+    GF(2) rows are stored as int bitmasks (column j <-> bit j); GF(2^8)
+    rows are sparse coefficient dicts with the pivot normalized to 1.
 
     A right-hand side may pack a vector into one int: bit j is entry j on
-    GF(2), where XOR already works entry-wise, and byte lane j on GF(2^m),
+    GF(2), where XOR already works entry-wise, and byte lane j on GF(2^8),
     whose products scale every lane at once through ``FieldSpec.scale``.
     Elimination is linear in the rhs, so with unit vectors as rhs it
     returns, in place of values, the combinations of the equations' rhs
@@ -215,7 +150,7 @@ class IncrementalSolver:
         self.field = field
         self._binary = field.order_exponent == 1
         self._pivots: dict[int, tuple] = {}  # col -> (row, rhs)
-        # GF(2^m): pivot columns whose rows are not singletons, in pivot
+        # GF(2^8): pivot columns whose rows are not singletons, in pivot
         # order (a dict used as an ordered set).
         self._unresolved: dict[int, None] = {}
 
@@ -279,7 +214,7 @@ class IncrementalSolver:
             fresh.append((col, rhs))
         return fresh
 
-    # -- generic GF(2^m) path ----------------------------------------------
+    # -- GF(2^8) path ------------------------------------------------------
 
     def _add_generic(self, row: dict[int, int], rhs: int) -> list[tuple[int, int]]:
         # Rows hold nonzero coefficients only, so every product is a lookup

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from .algebra import IncrementalSolver, InconsistentSystemError
 from .code_model import StreamingCodeSpec, encode
+from .musco import region_e_plan
 
 ERASED = None  # erasure mark in a received stream
 
@@ -125,7 +126,7 @@ def _equations(spec: StreamingCodeSpec, erased_times: Sequence[int], horizon: in
     field = spec.field
     binary = field.order_exponent == 1
     first_col = {t: i * n_src for i, t in enumerate(erased_times)}
-    # Per-tap (delay, source row, w): on GF(2^m) w is the log of the
+    # Per-tap (delay, source row, w): on GF(2^8) w is the log of the
     # coefficient, so every product is a table lookup; GF(2) ignores it.  A
     # zero tap adds nothing to either side of an equation, and leaving it
     # out keeps log[0] out of the arithmetic.
@@ -206,7 +207,7 @@ def _solve(field, equations, received: Sequence, n_unknowns: int) -> list:
 
 def _combinations(field, equations: Sequence, n_unknowns: int):
     """Eliminate ``equations`` once, the rhs of the j-th being the unit
-    vector e_j: bit j of an int on GF(2), byte lane j on GF(2^m).
+    vector e_j: bit j of an int on GF(2), byte lane j on GF(2^8).
 
     Elimination is linear in the rhs, so the solver hands back, in place of
     values, combinations of the equations' rhs values.  Returns
@@ -214,7 +215,7 @@ def _combinations(field, equations: Sequence, n_unknowns: int):
     time and combination, ``None`` and 0 when the equations never determine
     it, and per dependent equation the combination that must be 0 for the
     system to be consistent.  A combination is an int on GF(2) and a list of
-    ``(equation index, log coefficient)`` on GF(2^m), as :func:`_evaluate`
+    ``(equation index, log coefficient)`` on GF(2^8), as :func:`_evaluate`
     reads it.
     """
     binary = field.order_exponent == 1
@@ -559,8 +560,6 @@ def region_e_structured_decode(
     directly-computable interference from layers 3 and 4; (4) read the
     repetition copies to recover every erased source symbol at delay T2.
     """
-    from .musco import region_e_plan  # local import; musco builds on this module
-
     plan = region_e_plan(params.normalized())
     if plan.to_spec().parity_rows != spec.parity_rows or plan.params != params.normalized():
         raise StructureMismatchError("spec does not match the region-(e) plan")

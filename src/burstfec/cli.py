@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .algebra import GF2, GF256
+from .algebra import FIELDS
 from .channel_sim import UserSpec, make_periodic, run_pec, verify_deadlines
 from .code_model import spec_to_text
 from .musco import (
@@ -42,9 +44,6 @@ EXIT_VERIFY_FAIL = 2
 EXIT_OPEN_CAPACITY = 3
 EXIT_INVALID = 4
 
-_FIELDS = {"gf2": GF2, "gf256": GF256}
-
-
 def _frac(x) -> str:
     if x is None:
         return "UNKNOWN"
@@ -56,13 +55,33 @@ def _params(args) -> MulticastParams:
     return MulticastParams(args.b1, args.t1, args.b2, args.t2).normalized()
 
 
+def _out_error(path: str, exc: OSError) -> ValueError:
+    return ValueError(f"cannot write --out {path}: {exc.strerror}")
+
+
+def _check_out(path: str) -> None:
+    """Fail before any work if ``path`` cannot be opened for writing, with
+    the error ``_emit`` would give; the file is neither created nor
+    truncated."""
+    try:
+        if os.path.exists(path):
+            os.close(os.open(path, os.O_WRONLY | os.O_APPEND))
+        else:  # a new file: its directory must exist and take it
+            parent = os.path.dirname(path) or "."
+            os.close(os.open(parent, os.O_RDONLY | os.O_DIRECTORY))
+            if not os.access(parent, os.W_OK | os.X_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        raise _out_error(path, exc) from None
+
+
 def _emit(args, text: str) -> None:
     if args.out:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
+            raise _out_error(args.out, exc) from None
     else:
         sys.stdout.write(text)
 
@@ -141,7 +160,7 @@ def cmd_capacity(args) -> int:
 
 
 def _build_spec(args):
-    field = _FIELDS[args.field] if args.field else None
+    field = FIELDS[args.field] if args.field else None
     if args.b2 is None:
         if args.method == "ia-sco":
             raise ValueError("--method ia-sco needs a multicast point (--b2/--t2)")
@@ -324,13 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("build", help="dump a constructed code in golden text form")
     add_params(sp)
-    sp.add_argument("--field", choices=("gf2", "gf256"), default=None)
+    sp.add_argument("--field", choices=tuple(FIELDS), default=None)
     sp.add_argument("--method", choices=("auto", "ia-sco"), default="auto")
     sp.set_defaults(func=cmd_build)
 
     sp = sub.add_parser("verify", help="exhaustive burst/deadline sweep, point or grid")
     add_params(sp, need_user1=False)
-    sp.add_argument("--field", choices=("gf2", "gf256"), default=None)
+    sp.add_argument("--field", choices=tuple(FIELDS), default=None)
     sp.add_argument("--method", choices=("auto", "ia-sco"), default="auto")
     sp.add_argument("--window", type=int, default=None)
     sp.add_argument("--sweep", type=int, default=None, metavar="N",
@@ -359,6 +378,8 @@ def main(argv=None) -> int:
             raise ValueError("--b2 requires --t2")
         if args.t2 is not None and args.b2 is None:
             raise ValueError("--t2 requires --b2")
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except UnknownRegionError as exc:
         print(f"error: capacity open: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .algebra import GF2, GF256, FieldSpec
+from .algebra import FIELDS, GF2, FieldSpec
 
 
 @dataclass(frozen=True, order=True)
@@ -181,10 +181,6 @@ def encode(spec: StreamingCodeSpec, src: SourceStream, horizon: int) -> ChannelS
 
 # -- canonical text form (the golden-file format) ---------------------------
 
-_FIELD_NAMES = {1: "gf2", 8: "gf256"}
-_FIELD_BY_NAME = {"gf2": GF2, "gf256": GF256}
-
-
 def _tap_text(tap: Tap) -> str:
     prefix = "" if tap.coeff == 1 else f"{tap.coeff}*"
     return f"{prefix}s{tap.source_row}[i-{tap.delay}]"
@@ -197,7 +193,7 @@ def spec_to_text(spec: StreamingCodeSpec) -> str:
     it parses back into an identically-encoding spec.
     """
     lines = [
-        f"field {_FIELD_NAMES[spec.field.order_exponent]}",
+        "field " + next(name for name, field in FIELDS.items() if field == spec.field),
         f"sources {spec.n_source}",
     ]
     for row in spec.parity_rows:
@@ -236,9 +232,9 @@ def spec_from_text(text: str, label: str = "") -> StreamingCodeSpec:
         rest = rest.strip()
         try:
             if kind == "field":
-                if rest not in _FIELD_BY_NAME:
-                    raise ValueError(f"unknown field {rest!r}, expected one of {sorted(_FIELD_BY_NAME)}")
-                field = _FIELD_BY_NAME[rest]
+                if rest not in FIELDS:
+                    raise ValueError(f"unknown field {rest!r}, expected one of {sorted(FIELDS)}")
+                field = FIELDS[rest]
             elif kind == "sources":
                 if not rest.isdigit():
                     raise ValueError(f"source count {rest!r} is not a number")

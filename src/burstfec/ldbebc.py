@@ -146,14 +146,13 @@ def _pattern_mod_pairing(B: int, T: int) -> tuple[ParityDef, ...]:
     return tuple(defs)
 
 
-def _vandermonde_defs(B: int, T: int, field: FieldSpec, salt: int = 1) -> tuple[ParityDef, ...]:
-    # Full tail support with coefficients v^(salt * j * k), v = x.
-    v = 2
+def _vandermonde_defs(B: int, T: int, salt: int) -> tuple[ParityDef, ...]:
+    # Full tail support with GF(2^8) coefficients x^(salt * j * k), x = 2.
     defs = []
     for j in range(B):
         taps = [(j, 1)]
         for k, l in enumerate(range(B, T)):
-            taps.append((l, field.pow(v, (salt * j * k) % (field.size - 1))))
+            taps.append((l, GF256.exp[(salt * j * k) % 255]))
         defs.append(tuple(taps))
     return tuple(defs)
 
@@ -193,7 +192,7 @@ def construct_ldbebc(B: int, T: int, field: FieldSpec | None = None) -> BlockCod
                 f"no binary pattern verifies for (B={B}, T={T}); tried {tried}"
             )
     for salt in (1, 2, 3, 5, 7):
-        defs = _vandermonde_defs(B, T, GF256, salt)
+        defs = _vandermonde_defs(B, T, salt)
         spec = BlockCodeSpec(T, B, GF256, defs, f"vandermonde-{salt}")
         if verify_ldbebc(spec).ok:
             return spec

@@ -221,8 +221,8 @@ def _block_pair(b_t_pairs, field: FieldSpec | None):
     return blocks
 
 
-def _repetition_rows(rows: int, delay: int, start_row: int = 0) -> tuple[ParityRow, ...]:
-    return tuple(make_row([Tap(start_row + r, delay, 1)]) for r in range(rows))
+def _repetition_rows(rows: int, delay: int) -> tuple[ParityRow, ...]:
+    return tuple(make_row([Tap(r, delay, 1)]) for r in range(rows))
 
 
 # -- region (a): diversity-embedded combination ------------------------------

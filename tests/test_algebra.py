@@ -11,12 +11,8 @@ from burstfec.algebra import (
     FieldSpec,
     IncrementalSolver,
     InconsistentSystemError,
-    _gf_mul,
     _scale_lanes,
 )
-
-GF16_PRIMITIVE_X = FieldSpec(4, 0x13)
-GF16_X_NOT_PRIMITIVE = FieldSpec(4, 0x1F)  # x has order 5: the tables use another generator
 
 
 def test_gf2_add_is_xor_mul_is_and():
@@ -68,54 +64,37 @@ def test_gf256_inverses():
         assert GF256.mul(a, GF256.inv(a)) == 1
 
 
-@pytest.mark.parametrize(
-    "field",
-    [GF256, GF16_PRIMITIVE_X, GF16_X_NOT_PRIMITIVE],
-    ids=["gf256", "gf16-0x13", "gf16-0x1f"],
-)
+@pytest.mark.parametrize("field", [GF256], ids=["gf256"])
 def test_log_tables_match_reference_multiply(field):
-    m, poly = field.order_exponent, field.reduction_polynomial
     for a in range(field.size):
         for b in range(field.size):
-            assert field.mul(a, b) == _gf_mul(m, poly, a, b), (a, b)
+            assert field.mul(a, b) == _poly_mul_schoolbook(a, b, 0x11D, 8), (a, b)
     for a in range(1, field.size):
         assert field.mul(a, field.inv(a)) == 1, a
 
 
-def test_reducible_polynomial_rejected():
-    with pytest.raises(ValueError):
-        FieldSpec(8, 0x100)  # x^8, obviously reducible
-    with pytest.raises(ValueError):
-        FieldSpec(4, 0x11D)  # degree mismatch
+def test_order_exponent_other_than_1_or_8_rejected():
+    for m in (0, 2, 4, 7, 9):
+        with pytest.raises(ValueError, match="order exponent must be 1 or 8"):
+            FieldSpec(m)
 
 
-def test_order_exponent_outside_a_byte_rejected():
-    with pytest.raises(ValueError, match="order exponent must be in 1..8"):
-        FieldSpec(9, 0x211)  # x^9 + x^4 + 1: irreducible, but a byte cannot hold it
-    with pytest.raises(ValueError, match="order exponent must be in 1..8"):
-        FieldSpec(0)
-
-
-LANE_FIELDS = pytest.mark.parametrize(
-    "field",
-    [GF256, GF16_PRIMITIVE_X, GF16_X_NOT_PRIMITIVE],
-    ids=["gf256", "gf16-0x13", "gf16-0x1f"],
-)
+LANE_FIELDS = pytest.mark.parametrize("field", [GF256], ids=["gf256"])
 
 
 @LANE_FIELDS
 def test_scale_tables_equal_the_exp_log_definition(field):
-    # built by chaining translate; entry for entry they are x -> g^l * x
+    # built by chaining translate; entry for entry they are x -> 2^l * x
     assert len(field.scale) == field.size - 1
     for l, table in enumerate(field.scale):
         assert len(table) == 256
-        want = bytes(field.exp[l + field.log[x]] if 0 < x < field.size else 0 for x in range(256))
+        want = bytes(field.exp[l + field.log[x]] if x else 0 for x in range(256))
         assert table == want, l
 
 
 @LANE_FIELDS
 def test_lane_scaling_equals_per_lane_mul(field):
-    rng = random.Random(field.reduction_polynomial)
+    rng = random.Random(0x11D)
     for _ in range(40):
         lanes = [rng.choice((0, rng.randrange(field.size))) for _ in range(rng.randint(1, 40))]
         lanes[-1] = rng.randrange(1, field.size)  # the top lane sets the length
@@ -130,7 +109,7 @@ def test_lane_scaling_equals_per_lane_mul(field):
 def test_lane_packed_rhs_equals_one_solve_per_lane(field):
     # k right-hand sides packed as byte lanes go through one solver exactly
     # as k scalar solves would, contradictions included
-    rng = random.Random(field.size * 7 + field.reduction_polynomial)
+    rng = random.Random(field.size * 7 + 0x11D)
     kinds = set()
     for trial in range(150):
         n, k = rng.randint(1, 8), rng.randint(2, 6)
@@ -191,7 +170,7 @@ def test_solve_inconsistent_raises():
         _solve(GF2, [((1,), 0), ((1,), 1)], 1)
 
 
-@pytest.mark.parametrize("field", [GF2, GF256, GF16_X_NOT_PRIMITIVE], ids=["gf2", "gf256", "gf16-0x1f"])
+@pytest.mark.parametrize("field", [GF2, GF256], ids=["gf2", "gf256"])
 def test_zero_coefficient_is_an_absent_column(field):
     c = field.size - 1
     for coeffs in ({0: 0, 1: c}, {1: c, 2: 0}):
@@ -260,11 +239,7 @@ def _rescan(solver, seen):
     return fresh
 
 
-@pytest.mark.parametrize(
-    "field",
-    [GF2, GF256, GF16_PRIMITIVE_X, GF16_X_NOT_PRIMITIVE],
-    ids=["gf2", "gf256", "gf16-0x13", "gf16-0x1f"],
-)
+@pytest.mark.parametrize("field", [GF2, GF256], ids=["gf2", "gf256"])
 def test_add_equation_reports_what_a_full_rescan_finds(field):
     rng = random.Random(field.size)
     kinds = set()
@@ -293,16 +268,12 @@ def test_add_equation_reports_what_a_full_rescan_finds(field):
     assert kinds == {"inconsistent", "full rank", "rank deficient"}
 
 
-@pytest.mark.parametrize(
-    "field",
-    [GF256, GF16_PRIMITIVE_X, GF16_X_NOT_PRIMITIVE],
-    ids=["gf256", "gf16-0x13", "gf16-0x1f"],
-)
+@pytest.mark.parametrize("field", [GF256], ids=["gf256"])
 def test_add_equation_values_equal_the_planted_solution(field):
     # The rescan test above checks the solver against its own pivots; this
     # one checks its arithmetic: on consistent systems every reported value
     # must be the planted one, whatever the coefficients and elimination order.
-    rng = random.Random(field.size * 31 + field.reduction_polynomial)
+    rng = random.Random(field.size * 31 + 0x11D)
     reported = 0
     for trial in range(300):
         n = rng.randint(1, 10)
@@ -313,7 +284,7 @@ def test_add_equation_values_equal_the_planted_solution(field):
             row = {j: rng.randrange(1, field.size) for j in support}
             rhs = 0
             for j, c in row.items():
-                rhs ^= _gf_mul(field.order_exponent, field.reduction_polynomial, c, truth[j])
+                rhs ^= _poly_mul_schoolbook(c, truth[j], 0x11D, 8)
             for col, value in solver.add_equation(row, rhs):
                 assert value == truth[col], (trial, col)
                 reported += 1

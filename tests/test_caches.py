@@ -1,10 +1,9 @@
 """The library caches building blocks only, never whole products.
 
-Each cache below is bounded by the parameter range: field tables per
-(m, poly), interned taps per (row, delay, coeff), block codes per
-(B, T, field).  A spec built from them takes a fraction of a millisecond,
-so memoizing specs (or plans) would only keep every product alive for the
-life of the process.  Adding a cache means changing this list on purpose.
+Each cache below is bounded by the parameter range: interned taps per
+(row, delay, coeff), block codes per (B, T, field).  A spec built from them
+takes a fraction of a millisecond, so memoizing specs (or plans) would only
+keep every product alive for the life of the process.  Adding a cache means changing this list on purpose.
 """
 
 import importlib
@@ -14,8 +13,6 @@ import pkgutil
 import burstfec
 
 BUILDING_BLOCK_CACHES = {
-    "burstfec.algebra._log_tables",
-    "burstfec.algebra._scale_tables",
     "burstfec.code_model._canonical_tap",
     "burstfec.ldbebc.construct_ldbebc",
 }

@@ -396,8 +396,37 @@ def test_pec_csv_out(tmp_path, capsys):
     ids=["missing-directory", "directory"],
 )
 def test_unwritable_out_exits_invalid(tmp_path, capsys, command, target, reason):
-    # verify and pec still print their summary to stdout before the write
+    # the target is checked before the command runs: verify and pec print
+    # no summary for a run whose output could not be written
     path = tmp_path / target
-    code, _, err = run(capsys, *command, "--out", str(path))
+    code, out, err = run(capsys, *command, "--out", str(path))
     assert code == EXIT_INVALID
+    assert out == ""
     assert err == f"error: cannot write --out {path}: {reason}\n"
+
+
+def test_unwritable_out_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
+    import burstfec.cli as cli_mod
+
+    calls = []
+    real = cli_mod._sweep_row
+    monkeypatch.setattr(cli_mod, "_sweep_row", lambda p: calls.append(p) or real(p))
+    path = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "verify", "--sweep", "12", "--out", str(path))
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == f"error: cannot write --out {path}: No such file or directory\n"
+    assert calls == []
+
+
+def test_checked_out_target_is_neither_created_nor_truncated(tmp_path, capsys):
+    # a file that exists is kept as it is until the output replaces it, and
+    # a new one appears only with the output
+    kept = tmp_path / "kept.txt"
+    kept.write_text("old\n")
+    code, _, _ = run(capsys, "build", "--b1", "2", "--t1", "3", "--b2", "9", "--t2", "4",
+                     "--out", str(kept))
+    assert code == EXIT_INVALID and kept.read_text() == "old\n"
+    fresh = tmp_path / "fresh.txt"
+    code, _, _ = run(capsys, "build", "--b1", "2", "--t1", "3", "--b2", "9", "--t2", "4",
+                     "--out", str(fresh))
+    assert code == EXIT_INVALID and not fresh.exists()
