@@ -73,8 +73,31 @@ def test_log_tables_match_reference_multiply(field):
         assert field.mul(a, field.inv(a)) == 1, a
 
 
+def _gf2_poly_mod(a, b):
+    while a and a.bit_length() >= b.bit_length():
+        a ^= b << (a.bit_length() - b.bit_length())
+    return a
+
+
+def test_reducible_polynomial_rejected():
+    # no polynomial can be passed, so none can be reducible ...
+    with pytest.raises(TypeError):
+        FieldSpec(8, 0x100)  # x^8, obviously reducible
+    with pytest.raises(ValueError):
+        FieldSpec(4)  # the degree of 0x11D is 8, not 4
+    # ... and the one GF(2^8) uses has no factor of degree 1..4
+    for d in range(2, 1 << 5):
+        assert _gf2_poly_mod(0x11D, d) != 0, hex(d)
+
+
+def test_order_exponent_outside_a_byte_rejected():
+    for m in (0, 9):
+        with pytest.raises(ValueError, match="order exponent must be 1 or 8"):
+            FieldSpec(m)
+
+
 def test_order_exponent_other_than_1_or_8_rejected():
-    for m in (0, 2, 4, 7, 9):
+    for m in (2, 4, 7):
         with pytest.raises(ValueError, match="order exponent must be 1 or 8"):
             FieldSpec(m)
 
