@@ -136,7 +136,7 @@ class IncrementalSolver:
     singletons, kept in pivot order.
 
     GF(2) rows are stored as int bitmasks (column j <-> bit j); GF(2^8)
-    rows are sparse coefficient dicts with the pivot normalized to 1.
+    rows are sparse coefficient dicts with the pivot scaled to 1.
 
     A right-hand side may pack a vector into one int: bit j is entry j on
     GF(2), where XOR already works entry-wise, and byte lane j on GF(2^8),

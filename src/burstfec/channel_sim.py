@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .algebra import IncrementalSolver, InconsistentSystemError
 from .code_model import StreamingCodeSpec, encode
-from .musco import region_e_plan
+from .musco import Region, classify, region_e_plan
 
 ERASED = None  # erasure mark in a received stream
 
@@ -421,15 +421,45 @@ def verify_deadlines(
 # -- periodic-erasure-channel schedules ---------------------------------------
 
 
+# The counting schedule behind the converse of each solved region.  Regions
+# a, a' and b count on case A above the T2 = T1 + B1 line and on case B on it.
+_REGION_SCHEDULES = {
+    Region.A: "multicast_caseA",
+    Region.A_PRIME: "multicast_caseA",
+    Region.B: "multicast_caseA",
+    Region.C: "multicast_caseB",
+    Region.D: "multicast_caseB",
+    Region.E: "region_e",
+    Region.F_T1_EQ_B1: "region_f1",
+    Region.F_T2_EQ_B2: "region_f_T2B2",
+}
+
+
+def region_schedule(params) -> str:
+    """Name of the counting schedule that fits ``params``' region."""
+    region = classify(params)
+    variant = _REGION_SCHEDULES.get(region)
+    if variant is None:
+        raise ValueError(f"region {region.value} has no counting schedule")
+    if variant == "multicast_caseA" and params.t2 <= params.t1 + params.b1:
+        return "multicast_caseB"
+    return variant
+
+
 def make_periodic(variant: str, params) -> Periodic:
     """Periodic pattern for the named counting schedule.
 
-    ``params`` is a MulticastParams-like object with b1/t1/b2/t2 attributes
-    (ignored for the single-user variant, which takes a (B, T) tuple).
+    ``params`` is a :class:`MulticastParams` (a (B, T) tuple for the
+    single-user variant).  A ``region_*`` schedule is the counting argument
+    of that region alone, so it is refused on a point of another region.
     """
     if variant == "single_user":
         B, T = params
         return Periodic(period=T + B, burst=B)
+    if variant.startswith("region_") and variant in _REGION_SCHEDULES.values():
+        region = classify(params)
+        if _REGION_SCHEDULES.get(region) != variant:
+            raise ValueError(f"variant {variant} does not fit region {region.value}")
     b1, t1, b2, t2 = params.b1, params.t1, params.b2, params.t2
     if variant == "multicast_caseA":
         if t2 <= t1 + b1:
@@ -560,8 +590,8 @@ def region_e_structured_decode(
     directly-computable interference from layers 3 and 4; (4) read the
     repetition copies to recover every erased source symbol at delay T2.
     """
-    plan = region_e_plan(params.normalized())
-    if plan.to_spec().parity_rows != spec.parity_rows or plan.params != params.normalized():
+    plan = region_e_plan(params)
+    if plan.to_spec().parity_rows != spec.parity_rows or plan.params != params:
         raise StructureMismatchError("spec does not match the region-(e) plan")
     p = plan.params
     if burst.length != p.b2:

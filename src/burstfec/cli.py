@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .algebra import FIELDS
-from .channel_sim import UserSpec, make_periodic, run_pec, verify_deadlines
+from .channel_sim import UserSpec, make_periodic, region_schedule, run_pec, verify_deadlines
 from .code_model import spec_to_text
 from .musco import (
     MulticastParams,
@@ -52,7 +52,7 @@ def _frac(x) -> str:
 
 
 def _params(args) -> MulticastParams:
-    return MulticastParams(args.b1, args.t1, args.b2, args.t2).normalized()
+    return MulticastParams(args.b1, args.t1, args.b2, args.t2)
 
 
 def _out_error(path: str, exc: OSError) -> ValueError:
@@ -254,18 +254,6 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
-_PEC_AUTO = {
-    Region.A: "multicast_caseA",
-    Region.A_PRIME: "multicast_caseA",
-    Region.B: "multicast_caseA",
-    Region.C: "multicast_caseB",
-    Region.D: "multicast_caseB",
-    Region.E: "region_e",
-    Region.F_T1_EQ_B1: "region_f1",
-    Region.F_T2_EQ_B2: "region_f_T2B2",
-}
-
-
 def cmd_pec(args) -> int:
     if args.b2 is None:
         if args.variant not in ("auto", "single_user"):
@@ -281,14 +269,8 @@ def cmd_pec(args) -> int:
         variant = args.variant
         if variant == "single_user":
             raise ValueError("variant single_user takes no --b2/--t2")
-        region = classify(p)
         if variant == "auto":
-            variant = _PEC_AUTO[region]
-            if variant == "multicast_caseA" and p.t2 <= p.t1 + p.b1:
-                variant = "multicast_caseB"
-        elif variant.startswith("region_") and _PEC_AUTO[region] != variant:
-            # a region_* schedule is the counting argument of that region alone
-            raise ValueError(f"variant {variant} does not fit region {region.value}")
+            variant = region_schedule(p)
         pattern = make_periodic(variant, p)
         double_rule = (p.t1, p.t2) if variant == "region_f_T2B2" else None
     result = run_pec(spec, pattern, periods=args.periods, double_rule=double_rule)

@@ -80,17 +80,13 @@ def verify_ldbebc(spec: BlockCodeSpec) -> BlockVerifyReport:
         solver = IncrementalSolver(spec.field)
         col = {i: c for c, i in enumerate(erased_sources)}
         recovered_at: dict[int, int] = {}
-        for pos in range(n):
+        # Known sources are constants, never unknowns: only the unerased
+        # parities give equations.
+        for pos in range(T, n):
             if pos in erased:
                 continue
-            if pos < T:
-                # Unerased source: substitute it everywhere via a singleton
-                # equation?  Not needed: treat known sources as constants by
-                # simply never making them unknowns.
-                continue
-            j = pos - T
             eq = {}
-            for src, coeff in spec.parity_defs[j]:
+            for src, coeff in spec.parity_defs[pos - T]:
                 if src in col:
                     eq[col[src]] = spec.field.add(eq.get(col[src], 0), coeff)
             eq = {c: v for c, v in eq.items() if v}

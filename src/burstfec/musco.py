@@ -1,12 +1,14 @@
 """Two-receiver multicast codes: region map, capacity formulas, constructions.
 
-Parameters are (B1, T1, B2, T2) with B2 >= B1 after normalization.  The
+Parameters are (B1, T1, B2, T2), stored with B1 <= B2: a point given with
+the longer burst first has its users swapped on construction.  The
 plane splits into a large-delay regime (T1 >= B2 or T2 >= B1 + B2) with four
 capacity cases a/b/c/d, and a low-delay box containing region e (solved) and
 region f (solved only on its T1 = B1 and T2 = B2 edges).  Every closed form
-is exact rational arithmetic; every construction returns a tap-set spec whose
-rate equals the dispatched capacity and which the simulator can verify
-against both users' deadlines.
+is exact rational arithmetic, while the region tests that pick one compare
+integers (T2 >= (B2/B1) T1 + B1 is B1*T2 >= B2*T1 + B1*B1).  Every
+construction returns a tap-set spec whose rate equals the dispatched
+capacity and which the simulator can verify against both users' deadlines.
 """
 
 from __future__ import annotations
@@ -58,12 +60,12 @@ class MulticastParams:
     def __post_init__(self) -> None:
         if min(self.b1, self.t1, self.b2, self.t2) < 1:
             raise ValueError("all parameters must be >= 1")
-
-    def normalized(self) -> "MulticastParams":
-        """Swap the users if needed so that B2 >= B1."""
-        if self.b2 < self.b1:
-            return MulticastParams(self.b2, self.t2, self.b1, self.t1)
-        return self
+        if self.b2 < self.b1:  # user 1 is the one with the shorter burst
+            b1, t1 = self.b1, self.t1
+            object.__setattr__(self, "b1", self.b2)
+            object.__setattr__(self, "t1", self.t2)
+            object.__setattr__(self, "b2", b1)
+            object.__setattr__(self, "t2", t1)
 
     @property
     def alpha(self) -> Fraction:
@@ -87,36 +89,31 @@ class Region(enum.Enum):
     INFEASIBLE = "infeasible"
 
 
-def classify(params: MulticastParams) -> Region:
-    p = params.normalized()
-    if not p.feasible:
+def classify(p: MulticastParams) -> Region:
+    b1, t1, b2, t2 = p.b1, p.t1, p.b2, p.t2
+    if t1 < b1 or t2 < b2:
         return Region.INFEASIBLE
-    large_delay = p.t1 >= p.b2 or p.t2 >= p.b1 + p.b2
-    if large_delay:
-        if p.t2 >= p.alpha * p.t1 + p.b1:
-            ia_ok = (
-                p.alpha.denominator == 1
-                and p.alpha > 1
-                and p.t2 >= p.alpha * p.t1 + p.t1
-            )
+    if t1 >= b2 or t2 >= b1 + b2:  # large delay
+        if b1 * t2 >= b2 * t1 + b1 * b1:  # T2 >= alpha T1 + B1
+            # interference avoidance: integer alpha > 1 and T2 >= (alpha+1) T1
+            ia_ok = b2 > b1 and b2 % b1 == 0 and b1 * t2 >= (b2 + b1) * t1
             return Region.A_PRIME if ia_ok else Region.A
-        if p.t1 + p.b1 < p.t2:
+        if t1 + b1 < t2:
             return Region.B
-        if p.t1 < p.t2:
+        if t1 < t2:
             return Region.C
         return Region.D
-    if p.t2 >= p.t1 + p.b1:
+    if t2 >= t1 + b1:
         return Region.E
-    if p.t1 == p.b1:
+    if t1 == b1:
         return Region.F_T1_EQ_B1
-    if p.t2 == p.b2:
+    if t2 == b2:
         return Region.F_T2_EQ_B2
     return Region.F_INTERIOR
 
 
-def region_inequalities(params: MulticastParams) -> list[str]:
+def region_inequalities(p: MulticastParams) -> list[str]:
     """Human-readable evaluations of the inequalities behind classify()."""
-    p = params.normalized()
     a = p.alpha
     out = [
         f"feasible: T1={p.t1} >= B1={p.b1} and T2={p.t2} >= B2={p.b2}: {p.feasible}",
@@ -130,31 +127,26 @@ def region_inequalities(params: MulticastParams) -> list[str]:
     return out
 
 
-def upper_bound_pec(params: MulticastParams) -> Fraction:
+def upper_bound_pec(p: MulticastParams) -> Fraction:
     """Periodic-erasure-channel bound: (T2-B1)/(T2-B1+B2) above the
     T2 = T1+B1 line, T1/(T1+B2) at or below it."""
-    p = params.normalized()
     if p.t2 > p.t1 + p.b1:
         return Fraction(p.t2 - p.b1, p.t2 - p.b1 + p.b2)
     return Fraction(p.t1, p.t1 + p.b2)
 
 
-def upper_bound_cu(params: MulticastParams) -> Fraction:
+def upper_bound_cu(p: MulticastParams) -> Fraction:
     """Tightened bound min{C+, C1, C2}, in its four-case closed form."""
-    p = params.normalized()
-    c1 = single_user_capacity(p.b1, p.t1)
-    c2 = single_user_capacity(p.b2, p.t2)
-    if p.t2 >= p.alpha * p.t1 + p.b1:
-        return c1
+    if p.b1 * p.t2 >= p.b2 * p.t1 + p.b1 * p.b1:  # T2 >= alpha T1 + B1
+        return single_user_capacity(p.b1, p.t1)
     if p.t1 + p.b1 < p.t2:
         return Fraction(p.t2 - p.b1, p.t2 - p.b1 + p.b2)
     if p.t1 < p.t2:
         return Fraction(p.t1, p.t1 + p.b2)
-    return c2
+    return single_user_capacity(p.b2, p.t2)
 
 
-def f_region_upper_bound(params: MulticastParams) -> Fraction:
-    p = params.normalized()
+def f_region_upper_bound(p: MulticastParams) -> Fraction:
     return Fraction(p.t2 - p.b1, 2 * (p.t2 - p.b1) + (p.b2 - p.t1))
 
 
@@ -165,8 +157,7 @@ class CapacityResult:
     achieving_construction: Optional[str]
 
 
-def capacity(params: MulticastParams) -> CapacityResult:
-    p = params.normalized()
+def capacity(p: MulticastParams) -> CapacityResult:
     region = classify(p)
     if region is Region.INFEASIBLE:
         return CapacityResult(Fraction(0), Fraction(0), None)
@@ -199,11 +190,11 @@ def capacity(params: MulticastParams) -> CapacityResult:
 
 
 def _integer_alpha(p: MulticastParams) -> int:
-    if p.alpha.denominator != 1:
+    if p.b2 % p.b1:
         raise NonIntegerAlphaError(
             f"B2/B1 = {p.alpha} is not an integer; no construction is known here"
         )
-    return int(p.alpha)
+    return p.b2 // p.b1
 
 
 def _block_pair(b_t_pairs, field: FieldSpec | None):
@@ -246,8 +237,7 @@ def de_sco_rows(block: BlockCodeSpec, alpha: int, t1: int) -> tuple[ParityRow, .
     )
 
 
-def construct_de_sco(params: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
-    p = params.normalized()
+def construct_de_sco(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
     if classify(p) not in (Region.A, Region.A_PRIME):
         raise InfeasibleParamsError(f"{p} is not a region-(a) point")
     alpha = _integer_alpha(p)
@@ -261,10 +251,9 @@ def construct_de_sco(params: MulticastParams, field: FieldSpec | None = None) ->
 # -- region (a'): interference-avoidance combination -------------------------
 
 
-def construct_ia_sco(params: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
+def construct_ia_sco(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
     """q[i] = p_I[i] + p_II[i - T1] with p_II the vertically-interleaved
     (alpha B, alpha T) stream; needs integer alpha > 1 and T2 >= (alpha+1) T1."""
-    p = params.normalized()
     alpha = _integer_alpha(p)
     if alpha < 2 or p.t2 < (alpha + 1) * p.t1:
         raise InfeasibleParamsError(
@@ -306,8 +295,7 @@ class ExpansionPlan:
         )
 
 
-def source_expand(params: MulticastParams) -> ExpansionPlan:
-    p = params.normalized()
+def source_expand(p: MulticastParams) -> ExpansionPlan:
     t1_tilde = Fraction(p.b1, p.b2) * (p.t2 - p.b1)
     if t1_tilde < p.b1:
         raise InfeasibleParamsError("T1~ below B1; outside region (b)")
@@ -336,8 +324,7 @@ def fold_spec(spec: StreamingCodeSpec, n: int, label: str) -> StreamingCodeSpec:
     return StreamingCodeSpec(spec.field, n * g, tuple(rows), label)
 
 
-def construct_region_b(params: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
-    p = params.normalized()
+def construct_region_b(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
     if classify(p) is not Region.B:
         raise InfeasibleParamsError(f"{p} is not a region-(b) point")
     alpha = _integer_alpha(p)
@@ -356,8 +343,7 @@ def construct_region_b(params: MulticastParams, field: FieldSpec | None = None) 
 # -- regions (c) and (d): single-user reductions ------------------------------
 
 
-def construct_region_c(params: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
-    p = params.normalized()
+def construct_region_c(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
     if classify(p) is not Region.C:
         raise InfeasibleParamsError(f"{p} is not a region-(c) point")
     spec = construct_sco(ScoParams(p.b2, p.t1), field)
@@ -367,8 +353,7 @@ def construct_region_c(params: MulticastParams, field: FieldSpec | None = None) 
     )
 
 
-def construct_region_d(params: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
-    p = params.normalized()
+def construct_region_d(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
     if classify(p) is not Region.D:
         raise InfeasibleParamsError(f"{p} is not a region-(d) point")
     spec = construct_sco(ScoParams(p.b2, p.t2), field)
@@ -423,8 +408,7 @@ class RegionEPlan:
         )
 
 
-def region_e_plan(params: MulticastParams, field: FieldSpec | None = None) -> RegionEPlan:
-    p = params.normalized()
+def region_e_plan(p: MulticastParams, field: FieldSpec | None = None) -> RegionEPlan:
     if classify(p) is not Region.E:
         raise InfeasibleParamsError(f"{p} is not a region-(e) point")
     k = p.b1 + p.b2 - p.t2
@@ -465,17 +449,16 @@ def region_e_plan(params: MulticastParams, field: FieldSpec | None = None) -> Re
     )
 
 
-def construct_region_e(params: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
-    return region_e_plan(params.normalized(), field).to_spec()
+def construct_region_e(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
+    return region_e_plan(p, field).to_spec()
 
 
 # -- region (f) edges ----------------------------------------------------------
 
 
-def construct_region_f_T1B1(params: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
+def construct_region_f_T1B1(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
     """T1 = B1 edge: a (T1, T1) repetition stream concatenated with a
     (B2-B1, T2-T1) diagonal stream delayed by T1."""
-    p = params.normalized()
     if p.t1 != p.b1:
         raise InfeasibleParamsError("construction requires T1 = B1")
     if classify(p) is not Region.F_T1_EQ_B1:
@@ -494,10 +477,9 @@ def construct_region_f_T1B1(params: MulticastParams, field: FieldSpec | None = N
     )
 
 
-def construct_region_f_T2B2(params: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
+def construct_region_f_T2B2(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
     """T2 = B2 edge: a (B1, T1) diagonal stream concatenated with a (T2, T2)
     repetition stream."""
-    p = params.normalized()
     if p.t2 != p.b2:
         raise InfeasibleParamsError("construction requires T2 = B2")
     if classify(p) is not Region.F_T2_EQ_B2:
@@ -513,7 +495,7 @@ def construct_region_f_T2B2(params: MulticastParams, field: FieldSpec | None = N
 # -- dispatch ------------------------------------------------------------------
 
 
-def construct(params: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
+def construct(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
     """Capacity-achieving code for any region where one is known.
 
     Raises :class:`UnknownRegionError` inside region (f) (capacity open),
@@ -523,7 +505,6 @@ def construct(params: MulticastParams, field: FieldSpec | None = None) -> Stream
     Every call builds a new spec; only the block codes it lays along the
     diagonals (:func:`construct_ldbebc`) are cached, once per (B, T, field).
     """
-    p = params.normalized()
     region = classify(p)
     if region is Region.INFEASIBLE:
         raise InfeasibleParamsError(f"{p}: some user has delay below its burst")
@@ -546,11 +527,16 @@ def construct(params: MulticastParams, field: FieldSpec | None = None) -> Stream
     )
 
 
-def constructible(params: MulticastParams) -> bool:
-    p = params.normalized()
+# Regions with no construction, and those whose construction needs B1 | B2
+# (module constants: an enum member lookup costs more than the whole test).
+_UNSOLVED = (Region.INFEASIBLE, Region.F_INTERIOR)
+_INTEGER_ALPHA = (Region.A, Region.A_PRIME, Region.B)
+
+
+def constructible(p: MulticastParams) -> bool:
     region = classify(p)
-    if region in (Region.INFEASIBLE, Region.F_INTERIOR):
+    if region in _UNSOLVED:
         return False
-    if region in (Region.A, Region.A_PRIME, Region.B):
-        return p.alpha.denominator == 1
+    if region in _INTEGER_ALPHA:
+        return p.b2 % p.b1 == 0
     return True

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -16,12 +17,13 @@ from burstfec.channel_sim import (
     apply_channel,
     generic_decode,
     make_periodic,
+    region_schedule,
     run_pec,
     source_fill,
     verify_deadlines,
 )
 from burstfec.code_model import StreamingCodeSpec, Tap, encode, make_row
-from burstfec.musco import MulticastParams, construct, construct_ia_sco
+from burstfec.musco import MulticastParams, construct, construct_ia_sco, constructible
 from burstfec.sco import ScoParams, construct_sco
 
 
@@ -249,6 +251,36 @@ def test_verify_value_check_fires_on_a_wrong_stream(monkeypatch):
         verify_deadlines(spec, UserSpec(2, 3), 20)
 
 
+def test_bursts_at_the_stream_start_decode_on_time():
+    # verify_deadlines starts its bursts at the memory; a burst before it
+    # meets taps that reach back past time 0 (zero there).  Every
+    # constructible point <= 6, both users, every start in [0, memory).
+    trials = 0
+    for b1, t1, b2, t2 in itertools.product(range(1, 7), repeat=4):
+        p = MulticastParams(b1, t1, b2, t2)
+        if b1 > b2 or not constructible(p):
+            continue
+        spec = construct(p)
+        memory = spec.memory
+        for burst_len, delay in ((p.b1, p.t1), (p.b2, p.t2)):
+            horizon = memory + burst_len + delay
+            src = source_fill(spec.n_source, horizon, spec.field.size)
+            channel = encode(spec, src, horizon)
+            for start in range(memory):
+                for length in range(1, burst_len + 1):
+                    burst = SingleBurst(start, length)
+                    report = generic_decode(
+                        spec, apply_channel(channel, burst), burst, start + length + delay + 1
+                    )
+                    for (t, row), rep in report.erased_entries():
+                        where = (p, delay, start, length, t, row)
+                        assert rep.recovery_time is not None, where
+                        assert rep.recovery_time <= t + delay, where
+                        assert rep.value == src[t][row], where
+                    trials += 1
+    assert trials > 6000
+
+
 # -- decoder/oracle equivalence ------------------------------------------------
 
 
@@ -358,6 +390,22 @@ def test_make_periodic_variants():
         make_periodic("nope", mp)
     with pytest.raises(ValueError):
         make_periodic("multicast_caseA", MulticastParams(2, 3, 4, 4))
+
+
+def test_region_schedule_fits_only_its_region():
+    # (1, 2, 2, 4) is a region-(b) point: its converse counts on case A
+    b_point = MulticastParams(1, 2, 2, 4)
+    assert region_schedule(b_point) == "multicast_caseA"
+    with pytest.raises(ValueError, match="^variant region_e does not fit region b$"):
+        make_periodic("region_e", b_point)
+    with pytest.raises(ValueError, match="does not fit region f"):
+        make_periodic("region_f1", MulticastParams(3, 4, 5, 6))
+    assert region_schedule(MulticastParams(1, 2, 1, 3)) == "multicast_caseB"
+    for pt in [(4, 5, 7, 10), (4, 4, 5, 6), (2, 3, 4, 4), (4, 4, 2, 3)]:
+        p = MulticastParams(*pt)
+        assert make_periodic(region_schedule(p), p).burst == p.b2
+    with pytest.raises(ValueError, match="region f has no counting schedule"):
+        region_schedule(MulticastParams(3, 4, 5, 6))
 
 
 def test_single_user_pec_schedule():

@@ -57,9 +57,12 @@ def test_classify_named_points():
 
 
 def test_normalization_swaps_users():
-    p = P(4, 4, 2, 3).normalized()
+    p = P(4, 4, 2, 3)
     assert (p.b1, p.t1, p.b2, p.t2) == (2, 3, 4, 4)
-    assert classify(P(4, 4, 2, 3)) is Region.F_T2_EQ_B2
+    assert p == P(2, 3, 4, 4) and hash(p) == hash(P(2, 3, 4, 4))
+    assert classify(p) is Region.F_T2_EQ_B2
+    # equal bursts keep the order given
+    assert (P(2, 5, 2, 3).t1, P(2, 5, 2, 3).t2) == (5, 3)
 
 
 def test_region_partition_and_inequalities():
@@ -86,6 +89,38 @@ def test_region_partition_and_inequalities():
                         assert not large and t1 + b1 <= t2 <= b1 + b2 and t1 < b2
                     else:
                         assert not large and t2 < t1 + b1
+
+
+def _reference_region(b1, t1, b2, t2):
+    """The region map in its Fraction form, alpha = B2/B1, with the users
+    swapped by hand: the reference for the integer tests of classify()."""
+    if b2 < b1:
+        b1, t1, b2, t2 = b2, t2, b1, t1
+    if t1 < b1 or t2 < b2:
+        return Region.INFEASIBLE, False
+    alpha = Fraction(b2, b1)
+    whole = alpha.denominator == 1
+    if t1 >= b2 or t2 >= b1 + b2:
+        if t2 >= alpha * t1 + b1:
+            ia_ok = whole and alpha > 1 and t2 >= alpha * t1 + t1
+            return (Region.A_PRIME if ia_ok else Region.A), whole
+        if t1 + b1 < t2:
+            return Region.B, whole
+        return (Region.C if t1 < t2 else Region.D), True
+    if t2 >= t1 + b1:
+        return Region.E, True
+    if t1 == b1:
+        return Region.F_T1_EQ_B1, True
+    if t2 == b2:
+        return Region.F_T2_EQ_B2, True
+    return Region.F_INTERIOR, False
+
+
+def test_integer_region_map_matches_fraction_reference():
+    # every point in 1..12, so both orders of the users
+    for pt in itertools.product(range(1, 13), repeat=4):
+        p = P(*pt)
+        assert (classify(p), constructible(p)) == _reference_region(*pt), pt
 
 
 # -- capacity and bounds ---------------------------------------------------------

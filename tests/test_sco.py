@@ -1,10 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from burstfec.algebra import GF2, GF256
 from burstfec.channel_sim import UserSpec, verify_deadlines
 from burstfec.code_model import StreamingCodeSpec, Tap, make_row
-from burstfec.ldbebc import construct_ldbebc
+from burstfec.ldbebc import (
+    BlockCodeSpec,
+    _vandermonde_defs,
+    candidate_patterns,
+    construct_ldbebc,
+    verify_ldbebc,
+)
 from burstfec.sco import (
     InfeasibleParamsError,
     ScoParams,
@@ -79,3 +87,33 @@ def test_interleaved_variants_meet_scaled_guarantees():
         spec = _interleaved(B, T, a)
         assert spec.memory == T * a
         assert verify_deadlines(spec, UserSpec(a * B, a * T), 4 * (a * (T + B))).passed, (B, T, a)
+
+
+def test_block_and_stream_verdicts_agree():
+    # Diagonal interleaving (Martinian and Sundberg, IEEE Trans. IT 2004): a
+    # (T, B) block code meets its per-symbol deadlines under every cyclic
+    # burst exactly when its interleaved stream meets delay T under every
+    # burst of length <= B.  Checked on passing and failing blocks alike.
+    rng = random.Random(12)
+    checked = failing = 0
+    for T in range(1, 9):
+        for B in range(1, T + 1):
+            blocks = [BlockCodeSpec(T, B, GF2, defs, name) for name, defs in candidate_patterns(B, T)]
+            blocks += [
+                BlockCodeSpec(T, B, GF256, _vandermonde_defs(B, T, salt), f"vandermonde-{salt}")
+                for salt in (1, 2)
+            ]
+            for _ in range(3):  # p_j = s_j + a random subset of the tail
+                defs = tuple(
+                    ((j, 1),) + tuple((l, 1) for l in range(B, T) if rng.random() < 0.5)
+                    for j in range(B)
+                )
+                blocks.append(BlockCodeSpec(T, B, GF2, defs, "random"))
+            for block in blocks:
+                stream = StreamingCodeSpec(block.field, T, main_diagonal_rows(block))
+                block_ok = verify_ldbebc(block).ok
+                stream_ok = verify_deadlines(stream, UserSpec(B, T), 4 * stream.memory).passed
+                assert block_ok == stream_ok, (B, T, block.pattern, block.parity_defs)
+                checked += 1
+                failing += not block_ok
+    assert checked > 200 and 0 < failing < checked
