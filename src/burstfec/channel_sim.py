@@ -52,6 +52,10 @@ class Periodic:
     def __post_init__(self) -> None:
         if not 0 < self.burst <= self.period:
             raise ValueError("need 0 < burst <= period")
+        if any(not 0 <= o < self.burst for o in self.revealed):
+            raise ValueError(f"revealed offsets {self.revealed} must lie in [0, {self.burst})")
+        if len(set(self.revealed)) != len(self.revealed):
+            raise ValueError(f"revealed offsets {self.revealed} repeat")
 
     def erased(self, t: int) -> bool:
         phase = t % self.period
@@ -323,6 +327,11 @@ def source_fill(n_source: int, horizon: int, field_size: int, seed: int = 0) -> 
 class UserSpec:
     burst: int
     delay: int
+
+    def __post_init__(self) -> None:
+        for name, value in (("burst", self.burst), ("delay", self.delay)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass

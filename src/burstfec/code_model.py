@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .algebra import FIELDS, GF2, FieldSpec
@@ -48,17 +47,9 @@ class ParityRow:
         return max((t.delay for t in self.taps), default=0)
 
 
-@lru_cache(maxsize=None)
-def _canonical_tap(source_row: int, delay: int, coeff: int) -> Tap:
-    # Constructions repeat a few thousand distinct taps hundreds of
-    # thousands of times; a frozen Tap can be shared by every row holding it.
-    return Tap(source_row, delay, coeff)
-
-
 def make_row(taps: Iterable[Tap], field: FieldSpec = GF2) -> ParityRow:
     """Canonical parity row: merge taps on the same (row, delay), drop the
-    ones whose coefficients cancel, sort by (row, delay).  Equal taps of
-    rows built here are one shared object."""
+    ones whose coefficients cancel, sort by (row, delay)."""
     size = field.size
     acc: dict[tuple[int, int], int] = {}
     for t in taps:
@@ -68,7 +59,7 @@ def make_row(taps: Iterable[Tap], field: FieldSpec = GF2) -> ParityRow:
         key = (t.source_row, t.delay)
         acc[key] = acc.get(key, 0) ^ coeff  # characteristic 2: addition is XOR
     # Keys are unique, so sorting the items orders by (row, delay) alone.
-    return ParityRow(tuple(_canonical_tap(r, d, c) for (r, d), c in sorted(acc.items()) if c))
+    return ParityRow(tuple(Tap(r, d, c) for (r, d), c in sorted(acc.items()) if c))
 
 
 def combine_rows(a: ParityRow, b: ParityRow, field: FieldSpec = GF2) -> ParityRow:

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .algebra import GF2, GF256, FieldSpec, IncrementalSolver
+from .code_model import ParityRow, Tap, make_row
 
 ParityDef = tuple[tuple[int, int], ...]  # ((source index, coeff), ...)
 
@@ -45,6 +46,20 @@ class BlockCodeSpec:
     @property
     def length(self) -> int:
         return self.T + self.B
+
+    def diagonal_rows(self, factor: int = 1) -> tuple[ParityRow, ...]:
+        """The code laid along the stream diagonals: parity row j at time i
+        combines s_l[i - factor * (T + j - l)] for every tap l of parity j."""
+        return tuple(
+            make_row((Tap(l, factor * (self.T + j - l), c) for l, c in taps), self.field)
+            for j, taps in enumerate(self.parity_defs)
+        )
+
+    @cached_property
+    def rows(self) -> tuple[ParityRow, ...]:
+        """The main-diagonal rows, built on first use and then shared by
+        every spec laid from this block."""
+        return self.diagonal_rows()
 
     @property
     def rate(self) -> Fraction:
@@ -171,8 +186,9 @@ def construct_ldbebc(B: int, T: int, field: FieldSpec | None = None) -> BlockCod
     binary attempts.  Raises :class:`ConstructionError` when nothing passes.
 
     Each (B, T, field) is built and verified once per process: the frozen
-    result is shared by every caller, while a failure is not cached and is
-    raised again on every call.
+    result, with the diagonal rows it builds on first use, is shared by
+    every caller, while a failure is not cached and is raised again on
+    every call.
     """
     if not 1 <= B <= T:
         raise ConstructionError(f"infeasible block parameters B={B}, T={T}")

@@ -32,14 +32,7 @@ from .code_model import (
     shift_rows,
 )
 from .ldbebc import BlockCodeSpec, construct_ldbebc
-from .sco import (
-    InfeasibleParamsError,
-    ScoParams,
-    construct_sco,
-    main_diagonal_rows,
-    opposite_diagonal_rows,
-    single_user_capacity,
-)
+from .sco import InfeasibleParamsError, opposite_diagonal_rows, single_user_capacity
 
 
 class NonIntegerAlphaError(ValueError):
@@ -229,7 +222,7 @@ def de_sco_rows(block: BlockCodeSpec, alpha: int, t1: int) -> tuple[ParityRow, .
     two-user deadline sweeps for every parameter combination in range.
     """
     f = alpha - 1
-    p_rows = main_diagonal_rows(block)
+    p_rows = block.rows
     offsets = [f * (j + 1) + block.B for j in range(block.B)]
     q_rows = opposite_diagonal_rows(block, f, offsets)
     return tuple(
@@ -260,8 +253,8 @@ def construct_ia_sco(p: MulticastParams, field: FieldSpec | None = None) -> Stre
             f"interference avoidance needs T2 >= (alpha+1)*T1; got {p}"
         )
     (block,) = _block_pair([(p.b1, p.t1)], field)
-    p1 = main_diagonal_rows(block)
-    p2 = main_diagonal_rows(block, factor=alpha)
+    p1 = block.rows
+    p2 = block.diagonal_rows(alpha)
     rows = tuple(
         combine_rows(a, b, block.field) for a, b in zip(p1, shift_rows(p2, p.t1))
     )
@@ -331,13 +324,11 @@ def construct_region_b(p: MulticastParams, field: FieldSpec | None = None) -> St
     plan = source_expand(p)
     ip = plan.inner_params
     (block,) = _block_pair([(ip.b1, ip.t1)], field)
-    inner = StreamingCodeSpec(
-        block.field, ip.t1, de_sco_rows(block, alpha, ip.t1), "inner"
-    )
+    rows = de_sco_rows(block, alpha, ip.t1)
     label = f"region-b({p.b1},{p.t1})-({p.b2},{p.t2})"
     if plan.n == 1:
-        return StreamingCodeSpec(inner.field, inner.n_source, inner.parity_rows, label)
-    return fold_spec(inner, plan.n, label)
+        return StreamingCodeSpec(block.field, ip.t1, rows, label)
+    return fold_spec(StreamingCodeSpec(block.field, ip.t1, rows, "inner"), plan.n, label)
 
 
 # -- regions (c) and (d): single-user reductions ------------------------------
@@ -346,21 +337,15 @@ def construct_region_b(p: MulticastParams, field: FieldSpec | None = None) -> St
 def construct_region_c(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
     if classify(p) is not Region.C:
         raise InfeasibleParamsError(f"{p} is not a region-(c) point")
-    spec = construct_sco(ScoParams(p.b2, p.t1), field)
-    return StreamingCodeSpec(
-        spec.field, spec.n_source, spec.parity_rows,
-        f"region-c sco({p.b2},{p.t1})",
-    )
+    block = construct_ldbebc(p.b2, p.t1, field)
+    return StreamingCodeSpec(block.field, p.t1, block.rows, f"region-c sco({p.b2},{p.t1})")
 
 
 def construct_region_d(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
     if classify(p) is not Region.D:
         raise InfeasibleParamsError(f"{p} is not a region-(d) point")
-    spec = construct_sco(ScoParams(p.b2, p.t2), field)
-    return StreamingCodeSpec(
-        spec.field, spec.n_source, spec.parity_rows,
-        f"region-d sco({p.b2},{p.t2})",
-    )
+    block = construct_ldbebc(p.b2, p.t2, field)
+    return StreamingCodeSpec(block.field, p.t2, block.rows, f"region-d sco({p.b2},{p.t2})")
 
 
 # -- region (e): layered construction -----------------------------------------
@@ -417,11 +402,11 @@ def region_e_plan(p: MulticastParams, field: FieldSpec | None = None) -> RegionE
         # T2 = B2 corner: no layer 3, layer 4 is bare repetition rows.
         (c1,) = _block_pair([(p.b1, p.t1)], field)
         empties = tuple(ParityRow(()) for _ in range(p.t1))
-        return RegionEPlan(p, k, c1.field, main_diagonal_rows(c1), empties, empties, empties)
+        return RegionEPlan(p, k, c1.field, c1.rows, empties, empties, empties)
     b3 = p.t1 - t3
     if p.t1 <= 2 * t3:
         c1, c3 = _block_pair([(p.b1, p.t1), (b3, t3)], field)
-        helper = shift_rows(main_diagonal_rows(c3), -p.t1)
+        helper = shift_rows(c3.rows, -p.t1)
     else:
         r, q = divmod(p.t1 - t3, t3)
         pairs = [(p.b1, p.t1)] + ([(q, t3)] if q else [])
@@ -433,9 +418,9 @@ def region_e_plan(p: MulticastParams, field: FieldSpec | None = None) -> RegionE
                 make_row([Tap(l, -nn * t3, 1)], c1.field) for l in range(t3)
             )
         if q:
-            helper_rows.extend(shift_rows(main_diagonal_rows(blocks[1]), -p.t1))
+            helper_rows.extend(shift_rows(blocks[1].rows, -p.t1))
         helper = tuple(helper_rows)
-    c1_rows = main_diagonal_rows(c1)
+    c1_rows = c1.rows
     w_rows = c1_rows[k : p.b1]
     expanded = compose_rows(helper, w_rows, c1.field)
     return RegionEPlan(
@@ -467,7 +452,7 @@ def construct_region_f_T1B1(p: MulticastParams, field: FieldSpec | None = None) 
     rep = _repetition_rows(n_src, p.t1)
     if p.b2 > p.b1:
         (c2,) = _block_pair([(p.b2 - p.b1, p.t2 - p.t1)], field)
-        extra = shift_rows(main_diagonal_rows(c2), p.t1)
+        extra = shift_rows(c2.rows, p.t1)
         fld = c2.field
     else:
         extra, fld = (), GF2
@@ -485,7 +470,7 @@ def construct_region_f_T2B2(p: MulticastParams, field: FieldSpec | None = None) 
     if classify(p) is not Region.F_T2_EQ_B2:
         raise InfeasibleParamsError(f"{p} is not on the region-(f) T2=B2 edge")
     (c1,) = _block_pair([(p.b1, p.t1)], field)
-    rows = concat_rows(main_diagonal_rows(c1), _repetition_rows(p.t1, p.t2))
+    rows = concat_rows(c1.rows, _repetition_rows(p.t1, p.t2))
     return StreamingCodeSpec(
         c1.field, p.t1, rows,
         f"region-f-minT2({p.b1},{p.t1})-({p.b2},{p.t2})",
@@ -503,7 +488,9 @@ def construct(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCo
     and :class:`InfeasibleParamsError` when some user is infeasible.
 
     Every call builds a new spec; only the block codes it lays along the
-    diagonals (:func:`construct_ldbebc`) are cached, once per (B, T, field).
+    diagonals (:func:`construct_ldbebc`) are cached, once per (B, T, field),
+    and each carries its diagonal rows, so a region-(c)/(d) spec shares
+    them whole.
     """
     region = classify(p)
     if region is Region.INFEASIBLE:

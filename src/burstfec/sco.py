@@ -2,8 +2,9 @@
 
 ``construct_sco`` places a (T, B) block code along stream diagonals:
 parity row j at time i combines s_l[i - (T + j - l)] for every block tap l.
-Scaling every delay by a (``main_diagonal_rows``'s factor) realizes the
-(aB, aT) burst/delay guarantee on the same T source rows.
+Those rows are the block's own (``BlockCodeSpec.rows``), built once per
+block.  Scaling every delay by a (``BlockCodeSpec.diagonal_rows``'s factor)
+realizes the (aB, aT) burst/delay guarantee on the same T source rows.
 
 The opposite-diagonal variant mirrors the source rows and walks the
 anti-diagonal; it is only meaningful combined with a main-diagonal stream
@@ -50,18 +51,6 @@ def single_user_capacity(B: int, T: int) -> Fraction:
     return Fraction(T, T + B)
 
 
-def main_diagonal_rows(block: BlockCodeSpec, factor: int = 1) -> tuple[ParityRow, ...]:
-    rows = []
-    for j, taps in enumerate(block.parity_defs):
-        rows.append(
-            make_row(
-                (Tap(l, factor * (block.T + j - l), c) for l, c in taps),
-                block.field,
-            )
-        )
-    return tuple(rows)
-
-
 def opposite_diagonal_rows(
     block: BlockCodeSpec,
     dilation: int,
@@ -87,4 +76,4 @@ def construct_sco(params: ScoParams, field: FieldSpec | None = None) -> Streamin
     """Diagonally-interleaved block code as a streaming spec."""
     block = construct_ldbebc(params.burst, params.delay, field)
     label = f"sco({params.burst},{params.delay})"
-    return StreamingCodeSpec(block.field, params.delay, main_diagonal_rows(block), label)
+    return StreamingCodeSpec(block.field, params.delay, block.rows, label)

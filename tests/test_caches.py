@@ -1,9 +1,11 @@
 """The library caches building blocks only, never whole products.
 
-Each cache below is bounded by the parameter range: interned taps per
-(row, delay, coeff), block codes per (B, T, field).  A spec built from them
-takes a fraction of a millisecond, so memoizing specs (or plans) would only
-keep every product alive for the life of the process.  Adding a cache means changing this list on purpose.
+The one cache below is bounded by the parameter range: block codes per
+(B, T, field).  Block codes carry their diagonal rows, built on first use,
+so the rows that repeat across points are shared whole.  A spec built from
+them takes a fraction of a millisecond, so memoizing specs (or plans) would
+only keep every product alive for the life of the process.  Adding a cache
+means changing this list on purpose.
 """
 
 import importlib
@@ -12,10 +14,7 @@ import pkgutil
 
 import burstfec
 
-BUILDING_BLOCK_CACHES = {
-    "burstfec.code_model._canonical_tap",
-    "burstfec.ldbebc.construct_ldbebc",
-}
+BUILDING_BLOCK_CACHES = {"burstfec.ldbebc.construct_ldbebc"}
 
 
 def _cached_callables():

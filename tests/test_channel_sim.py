@@ -42,6 +42,13 @@ def test_periodic_pattern_and_reveals():
     assert r.is_revealed(1) and r.is_revealed(6)
 
 
+def test_periodic_rejects_revealed_offsets_it_cannot_use():
+    for revealed in [(7,), (2,), (-1,), (0, 0)]:
+        with pytest.raises(ValueError, match="revealed"):
+            Periodic(period=5, burst=2, revealed=revealed)
+    assert Periodic(period=5, burst=2, revealed=(1, 0)).is_revealed(5)
+
+
 def test_apply_channel():
     stream = [(t,) for t in range(8)]
     assert apply_channel(stream, SingleBurst(5, 2))[5] is ERASED
@@ -84,6 +91,16 @@ def test_report_csv_shape():
 def test_verify_vacuous_for_zero_burst():
     spec = construct_sco(ScoParams(2, 3))
     assert verify_deadlines(spec, UserSpec(0, 3), 10).passed
+
+
+def test_user_spec_rejects_a_negative_burst():
+    with pytest.raises(ValueError, match="burst"):
+        UserSpec(-1, 3)
+
+
+def test_user_spec_rejects_a_negative_delay():
+    with pytest.raises(ValueError, match="delay"):
+        UserSpec(2, -1)
 
 
 def _sabotaged_sco_2_3():

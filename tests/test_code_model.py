@@ -79,12 +79,6 @@ def test_make_row_sorts_merges_and_cancels():
         make_row([Tap(0, 1, 2)])
 
 
-def test_equal_taps_of_separate_rows_are_shared():
-    a = make_row([Tap(0, 4, 1), Tap(3, 2, 1)])
-    b = combine_rows(make_row([Tap(3, 2, 1)]), make_row([Tap(1, 9, 1)]))
-    assert a.taps[1] is b.taps[1]
-
-
 def test_concat_rows():
     a = (make_row([Tap(0, 1, 1)]),)
     b = (make_row([Tap(0, 2, 1)]),)

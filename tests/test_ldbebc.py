@@ -5,6 +5,7 @@ import pytest
 
 from burstfec import ldbebc, musco
 from burstfec.algebra import GF2, GF256
+from burstfec.code_model import Tap, make_row
 from burstfec.ldbebc import (
     BlockCodeSpec,
     ConstructionError,
@@ -97,3 +98,36 @@ def test_each_block_candidate_verified_once_across_the_grid(monkeypatch):
 def test_infeasible_parameters_rejected():
     with pytest.raises(ConstructionError):
         construct_ldbebc(3, 2)
+
+
+def _reference_rows(block):
+    # the diagonal layout written out on its own: parity j at time i
+    # combines s_l[i - (T + j - l)] for every tap l of parity j
+    rows = []
+    for j, taps in enumerate(block.parity_defs):
+        rows.append(make_row((Tap(l, block.T + j - l, c) for l, c in taps), block.field))
+    return tuple(rows)
+
+
+def test_block_rows_match_the_diagonal_layout():
+    pairs = [(B, T) for T in range(1, 15) for B in range(1, T + 1)]
+    blocks = [construct_ldbebc(B, T) for B, T in pairs]
+    blocks += [construct_ldbebc(B, T, GF256) for B, T in pairs]
+    # _block_pair lifts a binary block to GF(2^8) when its partner needs it
+    escalating = next((B, T) for B, T in pairs if construct_ldbebc(B, T).field == GF256)
+    lifted = [
+        musco._block_pair([(B, T), escalating], None)[0]
+        for B, T in pairs
+        if construct_ldbebc(B, T).field == GF2
+    ]
+    assert lifted and all(bl.field == GF256 and bl.pattern.endswith("+gf256") for bl in lifted)
+    for block in blocks + lifted:
+        assert block.rows == _reference_rows(block), (block.B, block.T, block.pattern)
+        assert block.rows is block.rows
+
+
+def test_points_on_one_block_share_its_rows():
+    first = musco.construct(musco.MulticastParams(1, 5, 3, 5))
+    second = musco.construct(musco.MulticastParams(2, 5, 3, 5))
+    assert musco.classify(musco.MulticastParams(1, 5, 3, 5)) is musco.Region.D
+    assert first.parity_rows is second.parity_rows

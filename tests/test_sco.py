@@ -17,7 +17,6 @@ from burstfec.sco import (
     InfeasibleParamsError,
     ScoParams,
     construct_sco,
-    main_diagonal_rows,
     single_user_capacity,
 )
 
@@ -46,7 +45,7 @@ def test_2_3_code_taps():
 def _interleaved(B, T, a):
     # the vertically interleaved (aB, aT) stream, as construct_ia_sco lays it
     block = construct_ldbebc(B, T)
-    return StreamingCodeSpec(block.field, T, main_diagonal_rows(block, a))
+    return StreamingCodeSpec(block.field, T, block.diagonal_rows(a))
 
 
 def test_interleaved_1_2_by_2_gives_2_4_guarantee():
@@ -110,7 +109,7 @@ def test_block_and_stream_verdicts_agree():
                 )
                 blocks.append(BlockCodeSpec(T, B, GF2, defs, "random"))
             for block in blocks:
-                stream = StreamingCodeSpec(block.field, T, main_diagonal_rows(block))
+                stream = StreamingCodeSpec(block.field, T, block.rows)
                 block_ok = verify_ldbebc(block).ok
                 stream_ok = verify_deadlines(stream, UserSpec(B, T), 4 * stream.memory).passed
                 assert block_ok == stream_ok, (B, T, block.pattern, block.parity_defs)
