@@ -36,11 +36,7 @@ from .musco import (
     capacity,
     classify,
     construct,
-    construct_de_sco,
     construct_ia_sco,
-    construct_region_e,
-    construct_region_f_T1B1,
-    construct_region_f_T2B2,
     constructible,
     source_expand,
     upper_bound_cu,

@@ -282,6 +282,10 @@ def generic_decode(
     Equations arrive in time order; the recovery time of an unknown is the
     first step at which the received prefix determines it uniquely.
     """
+    if not 1 <= horizon <= len(received):
+        raise ValueError(
+            f"horizon {horizon} outside [1, {len(received)}], the received length"
+        )
     erased = [t for t in range(horizon) if pattern.erased(t)]
     for t in erased:
         if received[t] is not ERASED:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import GF2, GF256, FieldSpec
+from .algebra import GF256, FieldSpec
 from .code_model import (
     ParityRow,
     StreamingCodeSpec,
@@ -230,11 +230,9 @@ def de_sco_rows(block: BlockCodeSpec, alpha: int, t1: int) -> tuple[ParityRow, .
     )
 
 
-def construct_de_sco(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
-    if classify(p) not in (Region.A, Region.A_PRIME):
-        raise InfeasibleParamsError(f"{p} is not a region-(a) point")
+def _de_sco(p: MulticastParams, field: FieldSpec | None) -> StreamingCodeSpec:
     alpha = _integer_alpha(p)
-    (block,) = _block_pair([(p.b1, p.t1)], field)
+    block = construct_ldbebc(p.b1, p.t1, field)
     rows = de_sco_rows(block, alpha, p.t1)
     return StreamingCodeSpec(
         block.field, p.t1, rows, f"de-sco({p.b1},{p.t1})-({p.b2},{p.t2})"
@@ -252,7 +250,7 @@ def construct_ia_sco(p: MulticastParams, field: FieldSpec | None = None) -> Stre
         raise InfeasibleParamsError(
             f"interference avoidance needs T2 >= (alpha+1)*T1; got {p}"
         )
-    (block,) = _block_pair([(p.b1, p.t1)], field)
+    block = construct_ldbebc(p.b1, p.t1, field)
     p1 = block.rows
     p2 = block.diagonal_rows(alpha)
     rows = tuple(
@@ -317,13 +315,11 @@ def fold_spec(spec: StreamingCodeSpec, n: int, label: str) -> StreamingCodeSpec:
     return StreamingCodeSpec(spec.field, n * g, tuple(rows), label)
 
 
-def construct_region_b(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
-    if classify(p) is not Region.B:
-        raise InfeasibleParamsError(f"{p} is not a region-(b) point")
+def _region_b(p: MulticastParams, field: FieldSpec | None) -> StreamingCodeSpec:
     alpha = _integer_alpha(p)
     plan = source_expand(p)
     ip = plan.inner_params
-    (block,) = _block_pair([(ip.b1, ip.t1)], field)
+    block = construct_ldbebc(ip.b1, ip.t1, field)
     rows = de_sco_rows(block, alpha, ip.t1)
     label = f"region-b({p.b1},{p.t1})-({p.b2},{p.t2})"
     if plan.n == 1:
@@ -334,16 +330,12 @@ def construct_region_b(p: MulticastParams, field: FieldSpec | None = None) -> St
 # -- regions (c) and (d): single-user reductions ------------------------------
 
 
-def construct_region_c(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
-    if classify(p) is not Region.C:
-        raise InfeasibleParamsError(f"{p} is not a region-(c) point")
+def _region_c(p: MulticastParams, field: FieldSpec | None) -> StreamingCodeSpec:
     block = construct_ldbebc(p.b2, p.t1, field)
     return StreamingCodeSpec(block.field, p.t1, block.rows, f"region-c sco({p.b2},{p.t1})")
 
 
-def construct_region_d(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
-    if classify(p) is not Region.D:
-        raise InfeasibleParamsError(f"{p} is not a region-(d) point")
+def _region_d(p: MulticastParams, field: FieldSpec | None) -> StreamingCodeSpec:
     block = construct_ldbebc(p.b2, p.t2, field)
     return StreamingCodeSpec(block.field, p.t2, block.rows, f"region-d sco({p.b2},{p.t2})")
 
@@ -400,7 +392,7 @@ def region_e_plan(p: MulticastParams, field: FieldSpec | None = None) -> RegionE
     t3 = p.b1 - k
     if t3 == 0:
         # T2 = B2 corner: no layer 3, layer 4 is bare repetition rows.
-        (c1,) = _block_pair([(p.b1, p.t1)], field)
+        c1 = construct_ldbebc(p.b1, p.t1, field)
         empties = tuple(ParityRow(()) for _ in range(p.t1))
         return RegionEPlan(p, k, c1.field, c1.rows, empties, empties, empties)
     b3 = p.t1 - t3
@@ -434,42 +426,30 @@ def region_e_plan(p: MulticastParams, field: FieldSpec | None = None) -> RegionE
     )
 
 
-def construct_region_e(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
+def _region_e(p: MulticastParams, field: FieldSpec | None) -> StreamingCodeSpec:
     return region_e_plan(p, field).to_spec()
 
 
 # -- region (f) edges ----------------------------------------------------------
 
 
-def construct_region_f_T1B1(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
+def _region_f_t1b1(p: MulticastParams, field: FieldSpec | None) -> StreamingCodeSpec:
     """T1 = B1 edge: a (T1, T1) repetition stream concatenated with a
-    (B2-B1, T2-T1) diagonal stream delayed by T1."""
-    if p.t1 != p.b1:
-        raise InfeasibleParamsError("construction requires T1 = B1")
-    if classify(p) is not Region.F_T1_EQ_B1:
-        raise InfeasibleParamsError(f"{p} is not on the region-(f) T1=B1 edge")
+    (B2-B1, T2-T1) diagonal stream delayed by T1.  The edge is low-delay
+    (T1 < B2), so B2 > B1 and the diagonal stream is never empty."""
     n_src = p.t2 - p.t1
-    rep = _repetition_rows(n_src, p.t1)
-    if p.b2 > p.b1:
-        (c2,) = _block_pair([(p.b2 - p.b1, p.t2 - p.t1)], field)
-        extra = shift_rows(c2.rows, p.t1)
-        fld = c2.field
-    else:
-        extra, fld = (), GF2
+    c2 = construct_ldbebc(p.b2 - p.b1, n_src, field)
+    rows = concat_rows(_repetition_rows(n_src, p.t1), shift_rows(c2.rows, p.t1))
     return StreamingCodeSpec(
-        fld, n_src, concat_rows(rep, extra),
+        c2.field, n_src, rows,
         f"region-f-minT1({p.b1},{p.t1})-({p.b2},{p.t2})",
     )
 
 
-def construct_region_f_T2B2(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
+def _region_f_t2b2(p: MulticastParams, field: FieldSpec | None) -> StreamingCodeSpec:
     """T2 = B2 edge: a (B1, T1) diagonal stream concatenated with a (T2, T2)
     repetition stream."""
-    if p.t2 != p.b2:
-        raise InfeasibleParamsError("construction requires T2 = B2")
-    if classify(p) is not Region.F_T2_EQ_B2:
-        raise InfeasibleParamsError(f"{p} is not on the region-(f) T2=B2 edge")
-    (c1,) = _block_pair([(p.b1, p.t1)], field)
+    c1 = construct_ldbebc(p.b1, p.t1, field)
     rows = concat_rows(c1.rows, _repetition_rows(p.t1, p.t2))
     return StreamingCodeSpec(
         c1.field, p.t1, rows,
@@ -480,12 +460,30 @@ def construct_region_f_T2B2(p: MulticastParams, field: FieldSpec | None = None) 
 # -- dispatch ------------------------------------------------------------------
 
 
+# Region -> (builder, whether it needs B1 | B2).  A builder trusts the region
+# it is dispatched on; the infeasible points and the open interior of region
+# (f) have none.
+_BUILDERS = {
+    Region.A: (_de_sco, True),
+    Region.A_PRIME: (_de_sco, True),
+    Region.B: (_region_b, True),
+    Region.C: (_region_c, False),
+    Region.D: (_region_d, False),
+    Region.E: (_region_e, False),
+    Region.F_T1_EQ_B1: (_region_f_t1b1, False),
+    Region.F_T2_EQ_B2: (_region_f_t2b2, False),
+}
+
+
 def construct(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCodeSpec:
     """Capacity-achieving code for any region where one is known.
 
-    Raises :class:`UnknownRegionError` inside region (f) (capacity open),
-    :class:`NonIntegerAlphaError` in regions (a)/(b) with fractional B2/B1,
-    and :class:`InfeasibleParamsError` when some user is infeasible.
+    Raises :class:`InfeasibleParamsError` when some user has delay below
+    its burst, :class:`UnknownRegionError` inside region (f) (capacity
+    open), :class:`NonIntegerAlphaError` in regions (a)/(a')/(b) with
+    fractional B2/B1, and :class:`~burstfec.ldbebc.ConstructionError` when
+    the requested ``field`` holds no block code the construction needs.
+    All four are subclasses of ``ValueError``.
 
     Every call builds a new spec; only the block codes it lays along the
     diagonals (:func:`construct_ldbebc`) are cached, once per (B, T, field),
@@ -493,37 +491,16 @@ def construct(p: MulticastParams, field: FieldSpec | None = None) -> StreamingCo
     them whole.
     """
     region = classify(p)
-    if region is Region.INFEASIBLE:
-        raise InfeasibleParamsError(f"{p}: some user has delay below its burst")
-    if region in (Region.A, Region.A_PRIME):
-        return construct_de_sco(p, field)
-    if region is Region.B:
-        return construct_region_b(p, field)
-    if region is Region.C:
-        return construct_region_c(p, field)
-    if region is Region.D:
-        return construct_region_d(p, field)
-    if region is Region.E:
-        return construct_region_e(p, field)
-    if region is Region.F_T1_EQ_B1:
-        return construct_region_f_T1B1(p, field)
-    if region is Region.F_T2_EQ_B2:
-        return construct_region_f_T2B2(p, field)
-    raise UnknownRegionError(
-        f"{p} lies in the interior of region (f); capacity is open"
-    )
-
-
-# Regions with no construction, and those whose construction needs B1 | B2
-# (module constants: an enum member lookup costs more than the whole test).
-_UNSOLVED = (Region.INFEASIBLE, Region.F_INTERIOR)
-_INTEGER_ALPHA = (Region.A, Region.A_PRIME, Region.B)
+    entry = _BUILDERS.get(region)
+    if entry is None:
+        if region is Region.INFEASIBLE:
+            raise InfeasibleParamsError(f"{p}: some user has delay below its burst")
+        raise UnknownRegionError(
+            f"{p} lies in the interior of region (f); capacity is open"
+        )
+    return entry[0](p, field)
 
 
 def constructible(p: MulticastParams) -> bool:
-    region = classify(p)
-    if region in _UNSOLVED:
-        return False
-    if region in _INTEGER_ALPHA:
-        return p.b2 % p.b1 == 0
-    return True
+    entry = _BUILDERS.get(classify(p))
+    return entry is not None and (not entry[1] or p.b2 % p.b1 == 0)

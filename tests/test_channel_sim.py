@@ -79,6 +79,15 @@ def test_sco_1_2_single_erasure_trace():
     assert report.entries[(5, 1)].value == src[5][1]
 
 
+@pytest.mark.parametrize("horizon", [11, -1])
+def test_generic_decode_rejects_a_horizon_outside_the_stream(horizon):
+    # one past a 10-step stream, and one below 1
+    spec = construct_sco(ScoParams(2, 3))
+    rec = apply_channel(encode(spec, source_fill(3, 10, 2), 10), SingleBurst(4, 2))
+    with pytest.raises(ValueError, match=f"^horizon {horizon} outside"):
+        generic_decode(spec, rec, SingleBurst(4, 2), horizon)
+
+
 def test_report_csv_shape():
     spec = construct_sco(ScoParams(1, 2))
     src = source_fill(2, 6, 2)

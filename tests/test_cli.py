@@ -142,6 +142,22 @@ def test_verify_pass(capsys):
     assert out.count("PASS") == 2
 
 
+def test_verify_over_a_requested_field(capsys):
+    code, out, err = run(capsys, "verify", "--b1", "2", "--t1", "6", "--b2", "2", "--t2", "6",
+                         "--field", "gf256", "--window", "2")
+    assert code == 0 and err == ""
+    assert out.count("PASS (4 trials)") == 2
+
+
+def test_build_over_a_field_without_the_block_code_exits_invalid(capsys):
+    # (2, 6) has no binary block code, so --field gf2 cannot be met
+    code, out, err = run(capsys, "build", "--b1", "2", "--t1", "6", "--field", "gf2")
+    assert code == EXIT_INVALID and out == ""
+    assert err == (
+        "error: no binary pattern verifies for (B=2, T=6); tried ['window', 'mod-pairing']\n"
+    )
+
+
 def test_verify_fail_exit_code(capsys, monkeypatch):
     # sabotage the built code: the CLI must report FAIL and exit 2
     import burstfec.cli as cli_mod

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from burstfec.algebra import GF256
 from burstfec.channel_sim import UserSpec, verify_deadlines
 from burstfec.code_model import spec_to_text
 from burstfec.musco import (
@@ -16,13 +17,7 @@ from burstfec.musco import (
     classify,
     constructible,
     construct,
-    construct_de_sco,
     construct_ia_sco,
-    construct_region_c,
-    construct_region_d,
-    construct_region_e,
-    construct_region_f_T1B1,
-    construct_region_f_T2B2,
     fold_spec,
     source_expand,
     upper_bound_cu,
@@ -77,6 +72,8 @@ def test_region_partition_and_inequalities():
                         assert r is Region.INFEASIBLE
                         continue
                     large = t1 >= b2 or t2 >= b1 + b2
+                    if large:  # the large-delay capacity meets the tightened bound
+                        assert capacity(p).capacity == upper_bound_cu(p), p
                     if r in (Region.A, Region.A_PRIME):
                         assert large and t2 >= p.alpha * t1 + b1
                     elif r is Region.B:
@@ -89,6 +86,8 @@ def test_region_partition_and_inequalities():
                         assert not large and t1 + b1 <= t2 <= b1 + b2 and t1 < b2
                     else:
                         assert not large and t2 < t1 + b1
+                        # low delay with T1 = B1 forces B2 > T1 = B1
+                        assert r is not Region.F_T1_EQ_B1 or b2 > b1
 
 
 def _reference_region(b1, t1, b2, t2):
@@ -219,21 +218,21 @@ def _passes_both_users(spec, p, window=None):
 
 def test_de_sco_rate_and_deadlines():
     p = P(2, 3, 4, 8)
-    spec = construct_de_sco(p)
+    spec = construct(p)
     assert spec.rate == Fraction(3, 5)
     assert _passes_both_users(spec, p)
 
 
 def test_de_sco_alpha_one_degenerates_cleanly():
     p = P(2, 3, 2, 5)
-    spec = construct_de_sco(p)
+    spec = construct(p)
     assert spec.rate == Fraction(3, 5)
     assert _passes_both_users(spec, p)
 
 
 def test_non_integer_alpha_refused():
     with pytest.raises(NonIntegerAlphaError):
-        construct_de_sco(P(2, 4, 3, 9))
+        construct(P(2, 4, 3, 9))
     with pytest.raises(NonIntegerAlphaError):
         construct(P(2, 5, 3, 8))  # region b with alpha = 3/2
 
@@ -276,11 +275,11 @@ def test_fold_spec_row_mapping():
 
 def test_regions_c_and_d_reduce_to_single_user():
     p = P(1, 4, 3, 5)
-    spec = construct_region_c(p)
+    spec = construct(p)
     assert spec.rate == Fraction(4, 7)
     assert _passes_both_users(spec, p)
     p = P(2, 6, 4, 5)
-    spec = construct_region_d(p)
+    spec = construct(p)
     assert spec.rate == Fraction(5, 9)
     assert _passes_both_users(spec, p)
 
@@ -288,27 +287,41 @@ def test_regions_c_and_d_reduce_to_single_user():
 def test_region_e_cases_and_corner():
     for args in [(4, 5, 7, 10), (3, 5, 7, 9)]:
         p = P(*args)
-        spec = construct_region_e(p)
+        spec = construct(p)
         assert spec.rate == Fraction(5, 11)
         assert _passes_both_users(spec, p)
     # T2 = B2 corner of region (e): layer 4 is bare repetition
     p = P(1, 2, 5, 5)
-    spec = construct_region_e(p)
+    spec = construct(p)
     assert spec.rate == capacity(p).capacity == Fraction(2, 5)
     assert _passes_both_users(spec, p)
 
 
 def test_region_f_edges():
     p = P(4, 4, 5, 6)
-    spec = construct_region_f_T1B1(p)
+    spec = construct(p)
     assert spec.rate == Fraction(2, 5)
     assert _passes_both_users(spec, p)
     p = P(2, 3, 4, 4)
-    spec = construct_region_f_T2B2(p)
+    spec = construct(p)
     assert spec.rate == Fraction(3, 8)
     assert _passes_both_users(spec, p)
-    with pytest.raises(InfeasibleParamsError):
-        construct_region_f_T1B1(P(2, 3, 4, 4))
+
+
+def test_gf256_realizations_pass_both_users():
+    # construct(p, GF256) lays every block code over GF(2^8), even where the
+    # automatic build finds a binary one: same rate, and both deadlines met
+    built = differ = 0
+    for pt in itertools.product(range(1, 7), repeat=4):
+        p = P(*pt)
+        if pt[0] > pt[2] or not constructible(p):
+            continue
+        spec = construct(p, GF256)
+        assert spec.field == GF256 and spec.rate == capacity(p).capacity, p
+        assert _passes_both_users(spec, p), p
+        built += 1
+        differ += spec_to_text(spec) != spec_to_text(construct(p))
+    assert (built, differ) == (262, 260)
 
 
 def test_equal_bursts_never_low_delay():
