@@ -16,12 +16,8 @@ from .code_model import (
     ParityRow,
     StreamingCodeSpec,
     Tap,
-    causal_truncate,
-    combine_rows,
-    concat_rows,
     encode,
     make_row,
-    shift_rows,
     spec_from_text,
     spec_to_text,
 )
@@ -38,16 +34,14 @@ from .musco import (
     construct,
     construct_ia_sco,
     constructible,
-    source_expand,
+    critical_delays,
     upper_bound_cu,
     upper_bound_pec,
 )
 from .channel_sim import (
-    DecodeReport,
     Periodic,
     SingleBurst,
     UserSpec,
-    apply_channel,
     generic_decode,
     make_periodic,
     region_e_structured_decode,

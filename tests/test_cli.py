@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,21 @@ def test_capacity_point_csv(capsys):
     assert row["capacity"] == "5/11"
     assert row["pec_bound"] == "6/13"
     assert row["best_bound"] == "5/11"
+
+
+def test_capacity_cu_bound_is_zero_at_an_infeasible_point(capsys):
+    code, out, _ = run(capsys, "capacity", "--b1", "1", "--t1", "1", "--b2", "3", "--t2", "2")
+    assert code == 0
+    row = list(csv.DictReader(out.splitlines()))[0]
+    assert row["region"] == "infeasible"
+    assert (row["pec_bound"], row["cu_bound"], row["best_bound"]) == ("1/4", "0", "0")
+
+
+def test_capacity_sweep_matches_golden(capsys):
+    code, out, err = run(capsys, "capacity", "--sweep", "8")
+    assert code == 0 and err == ""
+    golden = Path(__file__).parent / "goldens" / "capacity_sweep_8.csv"
+    assert out.encode() == golden.read_bytes()
 
 
 def test_capacity_open_point_json(capsys):

@@ -1,13 +1,21 @@
 import gc
 import itertools
+import math
 import weakref
 from fractions import Fraction
 
 import pytest
 
 from burstfec.algebra import GF256
-from burstfec.channel_sim import UserSpec, verify_deadlines
-from burstfec.code_model import spec_to_text
+from burstfec.channel_sim import (
+    SingleBurst,
+    UserSpec,
+    apply_channel,
+    generic_decode,
+    source_fill,
+    verify_deadlines,
+)
+from burstfec.code_model import StreamingCodeSpec, encode, spec_to_text
 from burstfec.musco import (
     MulticastParams,
     NonIntegerAlphaError,
@@ -18,8 +26,8 @@ from burstfec.musco import (
     constructible,
     construct,
     construct_ia_sco,
+    critical_delays,
     fold_spec,
-    source_expand,
     upper_bound_cu,
     upper_bound_pec,
 )
@@ -153,12 +161,17 @@ def test_pec_bound_values_and_boundary_continuity():
 def test_cu_bound_cases():
     assert upper_bound_cu(P(1, 2, 2, 5)) == Fraction(2, 3)
     assert upper_bound_cu(P(1, 2, 2, 4)) == Fraction(3, 5)
-    for args in [(1, 2, 2, 4), (2, 3, 4, 8), (2, 4, 3, 5), (3, 3, 4, 4), (2, 6, 4, 5)]:
-        p = P(*args)
-        c1 = single_user_capacity(p.b1, p.t1)
-        c2 = single_user_capacity(p.b2, p.t2)
-        assert upper_bound_cu(p) <= min(c1, c2)
-        assert upper_bound_cu(p) == min(upper_bound_pec(p), c1, c2)
+
+    # min{C+, C1, C2}, where a user whose delay is below its burst has
+    # capacity 0: so the bound is 0 at every infeasible point
+    def single(b, t):
+        return Fraction(t, t + b) if t >= b else 0
+
+    for pt in itertools.product(range(1, 9), repeat=4):  # both user orders
+        p = P(*pt)
+        bound = min(upper_bound_pec(p), single(pt[0], pt[1]), single(pt[2], pt[3]))
+        assert upper_bound_cu(p) == bound, pt
+    assert upper_bound_cu(P(1, 1, 3, 2)) == 0 < upper_bound_pec(P(1, 1, 3, 2))
 
 
 def test_bounds_dominate_capacity_everywhere():
@@ -247,13 +260,31 @@ def test_ia_sco_condition_and_deadlines():
 
 
 def test_source_expansion_plan():
-    plan = source_expand(P(1, 2, 2, 4))
-    assert plan.t1_tilde == Fraction(3, 2)
-    assert plan.n == 2
-    ip = plan.inner_params
-    assert (ip.b1, ip.t1, ip.b2, ip.t2) == (2, 3, 4, 8)
-    # already-integer reduction is the identity expansion
-    assert source_expand(P(1, 3, 2, 7)).n == 1
+    # region (b) drops T1 to T1~ = (B1/B2)(T2 - B1); a fractional T1~ = m/n
+    # is met on a base refined by n
+    assert critical_delays(P(1, 2, 2, 4)) == (Fraction(3, 2), 4)
+    # a whole T1~ needs no expansion, and is an int
+    for args, delays in [((1, 3, 2, 5), (2, 5)), ((1, 3, 2, 7), (3, 7))]:
+        t1, t2 = critical_delays(P(*args))
+        assert (t1, t2) == delays and type(t1) is int
+
+
+def test_critical_delays_per_region():
+    cases = [
+        ((1, 2, 2, 5), Region.A, (2, 5)),  # T2* = alpha T1 + B1
+        ((2, 3, 3, 7), Region.A, (3, Fraction(13, 2))),  # fractional alpha
+        ((1, 2, 2, 6), Region.A_PRIME, (2, 5)),
+        ((1, 2, 2, 4), Region.B, (Fraction(3, 2), 4)),  # T1* = T1~
+        ((1, 4, 3, 5), Region.C, (4, 4)),  # both users at T1
+        ((2, 6, 4, 5), Region.D, (5, 5)),  # both users at T2
+        ((4, 5, 7, 10), Region.E, (5, 10)),
+        ((4, 4, 5, 6), Region.F_T1_EQ_B1, (4, 6)),
+        ((2, 1, 3, 4), Region.INFEASIBLE, (1, 4)),
+    ]
+    for args, region, delays in cases:
+        p = P(*args)
+        assert classify(p) is region and critical_delays(p) == delays, args
+        assert critical_delays(p)[0] <= p.t1 and critical_delays(p)[1] <= p.t2
 
 
 def test_region_b_folded_code():
@@ -345,6 +376,55 @@ def test_construct_dispatch_rate_equals_capacity_spot():
                  (4, 5, 7, 10), (4, 4, 5, 6), (2, 3, 4, 4), (2, 2, 4, 6)]:
         p = P(*args)
         assert construct(p).rate == capacity(p).capacity, p
+
+
+def test_dropping_any_parity_row_fails_a_user():
+    # the converse of the check above: a code whose rate meets capacity has
+    # no spare parity row, so the oracle fails some user once any one is gone
+    drops = 0
+    for pt in itertools.product(range(1, 7), repeat=4):
+        p = P(*pt)
+        if pt[0] > pt[2] or not constructible(p):
+            continue
+        spec = construct(p)
+        window = 4 * max(spec.memory, 1)
+        for i in range(spec.n_parity):
+            rows = spec.parity_rows[:i] + spec.parity_rows[i + 1:]
+            weaker = StreamingCodeSpec(spec.field, spec.n_source, rows)
+            assert not _passes_both_users(weaker, p, window), (pt, i)
+            drops += 1
+    assert drops == 846
+
+
+def _worst_delay(spec, burst, delay):
+    """Worst recovery_time - t over one length-``burst`` burst at start
+    ``memory``, decoded up to the deadline of its last symbol."""
+    start = spec.memory
+    horizon = start + burst + delay + 1
+    src = source_fill(spec.n_source, horizon, spec.field.size)
+    burst_at = SingleBurst(start, burst)
+    received = apply_channel(encode(spec, src, horizon), burst_at)
+    report = generic_decode(spec, received, burst_at, horizon)
+    return max(rep.recovery_time - t for (t, _), rep in report.erased_entries())
+
+
+def test_achieved_delays_equal_critical_delays():
+    # every code meets its critical delays and no earlier one.  The one
+    # exception: in region (a) with B1 = B2 (alpha = 1) user 2 recovers by
+    # T1, below T2* = T1 + B1.
+    early = 0
+    for pt in itertools.product(range(1, 9), repeat=4):
+        p = P(*pt)
+        if pt[0] > pt[2] or not constructible(p):
+            continue
+        spec = construct(p)
+        want = tuple(math.ceil(d) for d in critical_delays(p))
+        got = (_worst_delay(spec, p.b1, p.t1), _worst_delay(spec, p.b2, p.t2))
+        if classify(p) is Region.A and p.b1 == p.b2 and got == (want[0], p.t1):
+            early += 1
+            continue
+        assert got == want, p
+    assert early == 50
 
 
 def test_construct_keeps_no_spec_alive():
