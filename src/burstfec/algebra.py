@@ -65,7 +65,9 @@ class FieldSpec:
       with no meaning, so callers must test for zero themselves;
     - ``scale``: ``scale[l]`` for 0 <= l < 255 is the 256-byte table of
       x -> 2^l * x, so ``bytes.translate`` multiplies every byte of a string
-      by 2^l at once.
+      by 2^l at once.  The solver scales an rhs packed one equation per byte
+      lane this way, and the deadline sweep a slice of the stream packed one
+      burst start per byte lane.
 
     ``mul`` and ``inv`` are the reference these uses are tested against.
     """

@@ -218,9 +218,9 @@ def _combinations(field, equations: Sequence, n_unknowns: int):
     ``(times, combinations, residuals)``: per unknown column its recovery
     time and combination, ``None`` and 0 when the equations never determine
     it, and per dependent equation the combination that must be 0 for the
-    system to be consistent.  A combination is an int on GF(2) and a list of
-    ``(equation index, log coefficient)`` on GF(2^8), as :func:`_evaluate`
-    reads it.
+    system to be consistent.  A combination is an int on GF(2), as
+    :func:`_evaluate` reads it, and a list of ``(equation index, log
+    coefficient)`` on GF(2^8), as :func:`_first_wrong_lanes` reads it.
     """
     binary = field.order_exponent == 1
     lane = 1 if binary else 8
@@ -249,26 +249,91 @@ def _combinations(field, equations: Sequence, n_unknowns: int):
     return times, combinations, residuals
 
 
-def _evaluate(field, combinations, values: Sequence[int]) -> list[int]:
-    """The value of each of :func:`_combinations`' ``combinations`` at the
-    rhs ``values``."""
-    if field.order_exponent == 1:
-        packed = 0
-        for j, value in enumerate(values):
-            if value:
-                packed |= 1 << j
-        return [(combo & packed).bit_count() & 1 for combo in combinations]
-    exp, log = field.exp, field.log
-    logs = [log[value] if value else None for value in values]
-    out = []
-    for terms in combinations:
+def _evaluate(combinations, values: Sequence[int]) -> list[int]:
+    """The value of each of :func:`_combinations`' GF(2) ``combinations``
+    at the rhs ``values``."""
+    packed = 0
+    for j, value in enumerate(values):
+        if value:
+            packed |= 1 << j
+    return [(combo & packed).bit_count() & 1 for combo in combinations]
+
+
+# A trial checks that every dependent equation agrees with the others
+# (rank 0), then per unknown column its deadline (rank 2 * col + 1) and its
+# decoded value (rank 2 * col + 2).  A sweep reports the first failure by
+# (start, length, rank).
+_CONTRADICTION = 0
+
+
+def _first_wrong_per_start(field, plan, channel, src, memory: int, n_starts: int):
+    """GF(2): the first failing dependent equation or decoded value of one
+    burst length's ``plan`` over the starts ``memory + shift``, ``shift`` <
+    ``n_starts``, replayed one start at a time.
+
+    Returns ``(shift, rank, rhs)`` for the lowest shift and, at it, the
+    lowest rank, ``rhs`` being the contradicting value (``None`` for a wrong
+    decoded value); ``None`` when all of them check out.
+    """
+    equations, _, combinations, residuals = plan
+    n_src = len(src[0])
+    for shift in range(n_starts):
+        values = [rhs for _, _, rhs in _with_rhs(field, equations, channel, shift)]
+        contradiction = next((v for v in _evaluate(residuals, values) if v), 0)
+        if contradiction:
+            return shift, _CONTRADICTION, contradiction
+        for col, value in enumerate(_evaluate(combinations, values)):
+            if value != src[memory + shift + col // n_src][col % n_src]:
+                return shift, 2 * col + 2, None
+    return None
+
+
+def _first_wrong_lanes(field, plan, channel, src, memory: int, n_starts: int):
+    """GF(2^8): :func:`_first_wrong_per_start` with every start at once,
+    start ``memory + shift`` in byte lane ``shift``.
+
+    ``channel[pos]`` and ``src[row]`` are byte strings over time, one byte
+    per time step, so the slice from t on holds time t + shift in lane
+    ``shift``.  An equation's rhs at every start is its parity slice less
+    each known tap's source slice, scaled by ``FieldSpec.scale`` in one
+    translate; each combination is evaluated the same way.  The lowest
+    nonzero byte of a difference is its first failing start.
+    """
+    equations, _, combinations, residuals = plan
+    scale = field.scale
+
+    def lanes(stream: bytes, t: int, log_coeff: int = 0) -> int:
+        return int.from_bytes(stream[t : t + n_starts].translate(scale[log_coeff]), "little")
+
+    def first_lane(v: int) -> int:
+        return ((v & -v).bit_length() - 1) >> 3
+
+    rhs = []
+    for t, pos, _, known in equations:
+        acc = lanes(channel[pos], t)
+        for delay, row, w in known:
+            acc ^= lanes(channel[row], t - delay, w)
+        rhs.append(acc.to_bytes(n_starts, "little"))
+
+    def evaluate(terms) -> int:
         acc = 0
         for j, lc in terms:
-            lv = logs[j]
-            if lv is not None:
-                acc ^= exp[lc + lv]
-        out.append(acc)
-    return out
+            acc ^= lanes(rhs[j], 0, lc)
+        return acc
+
+    wrong = None
+    bad = [v for v in map(evaluate, residuals) if v]
+    if bad:
+        shift = min(map(first_lane, bad))
+        # the first dependent equation, in order, that fails at that start
+        contradiction = next(c for v in bad if (c := v >> (8 * shift) & 0xFF))
+        wrong = (shift, _CONTRADICTION, contradiction)
+    n_src = len(src)
+    for col, terms in enumerate(combinations):
+        diff = evaluate(terms) ^ lanes(src[col % n_src], memory + col // n_src)
+        if diff and (wrong is None or first_lane(diff) < wrong[0]):
+            wrong = (first_lane(diff), 2 * col + 2, None)
+    return wrong
 
 
 def generic_decode(
@@ -373,10 +438,13 @@ def verify_deadlines(
     once; every trial then evaluates that elimination's recovery
     combinations at its own received values, checks each decoded value
     against the encoded source and checks that every dependent equation
-    agrees with the others.  Returns the first counterexample found,
-    scanning starts in order.  Raises ``ValueError`` when ``window`` is
-    below 1, :class:`MisdecodeError` on a wrong decoded value and
-    :class:`InconsistentSystemError` on a contradicting equation.
+    agrees with the others.  GF(2) replays the trials one start at a time;
+    GF(2^8) evaluates all starts of a length at once, one start per byte
+    lane.  Returns the first counterexample in trial order (start, then
+    length, then column).  Raises ``ValueError`` when ``window`` is below 1,
+    :class:`MisdecodeError` on a wrong decoded value and
+    :class:`InconsistentSystemError` on a contradicting equation, each for
+    the first such trial in the same order.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -402,33 +470,54 @@ def verify_deadlines(
         last = memory + length + user.delay
         equations = list(_equations(spec, range(memory, memory + length), last + 1))
         plans.append((equations, *_combinations(field, equations, length * n_src)))
-    trials = 0
-    for start in range(memory, memory + window):
-        shift = start - memory
-        for length, (equations, times, combinations, residuals) in enumerate(plans, start=1):
-            trials += 1
-            values = [rhs for _, _, rhs in _with_rhs(field, equations, channel, shift)]
-            contradiction = next((v for v in _evaluate(field, residuals, values) if v), 0)
-            if contradiction:
-                raise InconsistentSystemError(
-                    contradiction, f"contradictory equation at burst start {start}, length {length}"
-                )
-            decoded = _evaluate(field, combinations, values)
-            for col, when in enumerate(times):
-                t, row = start + col // n_src, col % n_src
-                if when is None or when + shift > t + user.delay:
-                    return VerifyResult(
-                        False,
-                        trials,
-                        Counterexample(
-                            start, length, (t, row), t + user.delay, None if when is None else when + shift
-                        ),
-                    )
-                if decoded[col] != src[t][row]:
-                    raise MisdecodeError(
-                        f"decoder returned a wrong value at {(t, row)}: encoder bug"
-                    )
-    return VerifyResult(True, trials)
+    if field.order_exponent == 1:
+        first_wrong, received, source = _first_wrong_per_start, channel, src
+    else:
+        # one byte string per sub-symbol position, one byte per time step
+        first_wrong = _first_wrong_lanes
+        received = [bytes(position) for position in zip(*channel)]
+        source = [bytes(row) for row in zip(*src)]
+    # The first failing trial, as (shift, length, rank, payload).  A recovery
+    # time moves with the start, and so does its deadline, so a deadline
+    # missed at one start is missed at every start: the first is at shift 0.
+    first = None
+    for length, (_, times, _, _) in enumerate(plans, start=1):
+        late = [
+            col
+            for col, when in enumerate(times)
+            if when is None or when > memory + col // n_src + user.delay
+        ]
+        if late:
+            first = (0, length, 2 * late[0] + 1, times[late[0]])
+            break
+    # A wrong value comes first only at an earlier trial, so each length
+    # replays the starts up to the first failure found so far.
+    for length, plan in enumerate(plans, start=1):
+        n_starts = window if first is None else first[0] + (length <= first[1])
+        if n_starts == 0:
+            break
+        wrong = first_wrong(field, plan, received, source, memory, n_starts)
+        if wrong is not None:
+            shift, rank, rhs = wrong
+            if first is None or (shift, length, rank) < first[:3]:
+                first = (shift, length, rank, rhs)
+    if first is None:
+        return VerifyResult(True, window * user.burst)
+    shift, length, rank, payload = first
+    start = memory + shift
+    if rank == _CONTRADICTION:
+        raise InconsistentSystemError(
+            payload, f"contradictory equation at burst start {start}, length {length}"
+        )
+    col = (rank - 1) // 2
+    t, row = start + col // n_src, col % n_src
+    if rank % 2 == 0:
+        raise MisdecodeError(f"decoder returned a wrong value at {(t, row)}: encoder bug")
+    return VerifyResult(
+        False,
+        shift * user.burst + length,
+        Counterexample(start, length, (t, row), t + user.delay, payload),
+    )
 
 
 # -- periodic-erasure-channel schedules ---------------------------------------

@@ -1,11 +1,12 @@
 import itertools
 import random
+import re
 from dataclasses import dataclass
 
 import pytest
 
 from burstfec import channel_sim
-from burstfec.algebra import GF2, IncrementalSolver, InconsistentSystemError
+from burstfec.algebra import GF2, GF256, IncrementalSolver, InconsistentSystemError
 from burstfec.channel_sim import (
     ERASED,
     Counterexample,
@@ -118,6 +119,19 @@ def _sabotaged_sco_2_3():
     return StreamingCodeSpec(GF2, 3, rows, "sabotaged")
 
 
+def _gf256_2626():
+    # p0[i] = s0[i-6] + s2[i-4] + s3[i-3] + s4[i-2] + s5[i-1] and
+    # p1[i] = s1[i-6] + s2[i-5] + 2 s3[i-4] + 4 s4[i-3] + 8 s5[i-2],
+    # sent as sub-symbols 6 and 7
+    return construct(MulticastParams(2, 6, 2, 6), GF256)
+
+
+def _sabotaged_gf256_2626():
+    good = _gf256_2626()
+    rows = (good.parity_rows[0], make_row(good.parity_rows[1].taps[:-1], GF256))  # drop 8 s5[i-2]
+    return StreamingCodeSpec(GF256, good.n_source, rows, "sabotaged")
+
+
 def test_verify_catches_sabotage():
     res = verify_deadlines(_sabotaged_sco_2_3(), UserSpec(2, 3), 20)
     assert not res.passed
@@ -188,6 +202,15 @@ def _user2_one_longer(point):
         pytest.param(_multicast_cases((1, 2, 2, 6), construct_ia_sco), id="ia-sco-1226"),
         pytest.param(_user2_one_longer((2, 6, 2, 6)), id="gf256-2626-user2-longer"),
         pytest.param(_user2_one_longer((1, 4, 2, 8)), id="gf256-region-b-1428-user2-longer"),
+        pytest.param([(_sabotaged_gf256_2626(), UserSpec(2, 6), 24)], id="gf256-sabotaged"),
+        pytest.param(
+            [
+                (_gf256_2626(), user, window)
+                for user in (UserSpec(2, 6), UserSpec(3, 6))
+                for window in (1, 3)
+            ],
+            id="gf256-2626-windows-1-3",
+        ),
     ],
 )
 def test_window_local_sweep_matches_whole_prefix_decode(cases):
@@ -262,19 +285,84 @@ def test_verify_consistency_check_fires_on_a_redundant_parity(monkeypatch):
         verify_deadlines(spec, user, 4)
 
 
-def test_verify_value_check_fires_on_a_wrong_stream(monkeypatch):
-    # the sweep decodes a stream encoded from other source data than the
-    # one it compares against: every deadline is met, the values are wrong
+@pytest.mark.parametrize(
+    "flips, start, rhs",
+    [
+        # p0[7] reads s5[6] and so does p1[8], scaled by 8, for the burst at
+        # 6 = memory: the flip leaves 8 * 1 on the dependent equation
+        ([(7, 6)], 6, 8),
+        # p0[8] reads s4[6], as p1[9] does scaled by 4.  Both dependent
+        # equations fail at start 6, and the earlier one's rhs is reported
+        ([(8, 6), (7, 6)], 6, 8),
+        # p0 has no tap at delay 5, so p0[11] reads no symbol of a burst at
+        # 6.  From start 7 it reads s2[7], as p1[12] does: only a later
+        # start sees the two disagree, before any value decoded from them
+        ([(11, 6)], 7, 1),
+    ],
+)
+def test_verify_consistency_check_fires_on_gf256(monkeypatch, flips, start, rhs):
+    spec = _gf256_2626()
+    user = UserSpec(1, 6)
+    assert verify_deadlines(spec, user, 4).passed
+    for flip in flips:
+        _flip_parity(monkeypatch, *flip)
+    message = f"^contradictory equation at burst start {start}, length 1$"
+    with pytest.raises(InconsistentSystemError, match=message) as exc:
+        verify_deadlines(spec, user, 4)
+    assert exc.value.rhs == rhs
+
+
+def _encode_other_source(monkeypatch):
+    """Make the sweep decode a stream encoded from other source data than
+    the one it compares against: every deadline is met, the values are
+    wrong."""
     real_encode = channel_sim.encode
 
     def other_source(spec, src, horizon):
         return real_encode(spec, source_fill(spec.n_source, horizon, spec.field.size, 99), horizon)
 
+    monkeypatch.setattr(channel_sim, "encode", other_source)
+
+
+def test_verify_value_check_fires_on_a_wrong_stream(monkeypatch):
     spec = construct_sco(ScoParams(2, 3))
     assert verify_deadlines(spec, UserSpec(2, 3), 20).passed
-    monkeypatch.setattr(channel_sim, "encode", other_source)
+    _encode_other_source(monkeypatch)
     with pytest.raises(MisdecodeError, match="wrong value"):
         verify_deadlines(spec, UserSpec(2, 3), 20)
+
+
+def _wrong_value_at(symbol):
+    return f"^{re.escape(f'decoder returned a wrong value at {symbol}: encoder bug')}$"
+
+
+def test_verify_value_check_fires_on_gf256(monkeypatch):
+    spec = _gf256_2626()
+    assert verify_deadlines(spec, UserSpec(2, 6), 24).passed
+    _encode_other_source(monkeypatch)
+    with pytest.raises(MisdecodeError, match=_wrong_value_at((6, 0))):
+        verify_deadlines(spec, UserSpec(2, 6), 24)
+
+
+def test_verify_value_check_fires_at_a_later_start_on_gf256(monkeypatch):
+    # p0 reads s0 only at delay 6, so a burst of length 1 at 8 recovers
+    # s0[8] from p0[14] alone, and the bursts at 6 and 7 never read p0[14]
+    _flip_parity(monkeypatch, 14, 6)
+    with pytest.raises(MisdecodeError, match=_wrong_value_at((8, 0))):
+        verify_deadlines(_gf256_2626(), UserSpec(1, 6), 4)
+
+
+def test_verify_checks_a_trials_columns_in_order_on_gf256(monkeypatch):
+    # Without 8 s5[i-2] the burst of length 2 at 6 = memory misses the
+    # deadline of s5[6], its column 5.  It reads p0[11] for s2[7], which the
+    # burst of length 1 at 6 does not; flipped, it makes column 1, s1[6],
+    # wrong in that same trial, and column 1 is checked first.
+    spec, user = _sabotaged_gf256_2626(), UserSpec(2, 6)
+    ce = verify_deadlines(spec, user, 24).counterexample
+    assert (ce.burst_start, ce.burst_length, ce.symbol) == (6, 2, (6, 5))
+    _flip_parity(monkeypatch, 11, 6)
+    with pytest.raises(MisdecodeError, match=_wrong_value_at((6, 1))):
+        verify_deadlines(spec, user, 24)
 
 
 def test_bursts_at_the_stream_start_decode_on_time():

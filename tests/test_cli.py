@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -462,3 +465,17 @@ def test_checked_out_target_is_neither_created_nor_truncated(tmp_path, capsys):
     code, _, _ = run(capsys, "build", "--b1", "2", "--t1", "3", "--b2", "9", "--t2", "4",
                      "--out", str(fresh))
     assert code == EXIT_INVALID and not fresh.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    # `python -m burstfec` is the `burstfec` script: same bytes, same exit code
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["verify", "--b1", "2", "--t1", "6", "--b2", "2", "--t2", "6", "--field", "gf256"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "burstfec", *argv], capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        b"user 1 (B=2, T=6): PASS (48 trials)\n"
+        b"user 2 (B=2, T=6): PASS (48 trials)\n"
+    )
