@@ -9,6 +9,10 @@ Core surface:
 - :mod:`burstfec.musco` -- two-receiver regions, capacities, constructions
 - :mod:`burstfec.channel_sim` -- erasure channels, universal decoder, sweeps
 - :mod:`burstfec.cli` -- command-line front end
+
+The universal decoder is the library's only one.  Every callable exported
+here but ``spec_from_text`` has a caller inside the library; reference
+decoders that only the tests use live with the tests.
 """
 
 from .algebra import GF2, GF256, FieldSpec
@@ -44,7 +48,6 @@ from .channel_sim import (
     UserSpec,
     generic_decode,
     make_periodic,
-    region_e_structured_decode,
     run_pec,
     verify_deadlines,
 )

@@ -339,7 +339,9 @@ class RegionEPlan:
     repetition rows, layer 4 the remaining repetitions combined with the
     causal parts of helper parities built *on* the layer-3 parity streams
     (case A: one diagonal code advanced by T1; case B: repetition helpers
-    advanced by multiples of B1-k plus a final diagonal one).
+    advanced by multiples of B1-k plus a final diagonal one).  The layer
+    fields also drive the tests' reference decoder for the code's own
+    layered recipe.
     """
 
     params: MulticastParams
@@ -372,9 +374,8 @@ class RegionEPlan:
         )
 
 
-def region_e_plan(p: MulticastParams, field: FieldSpec | None = None) -> RegionEPlan:
-    if classify(p) is not Region.E:
-        raise InfeasibleParamsError(f"{p} is not a region-(e) point")
+def _region_e_plan(p: MulticastParams, field: FieldSpec | None = None) -> RegionEPlan:
+    """The layer map of the region-(e) code at p; trusts that p is in region (e)."""
     k = p.b1 + p.b2 - p.t2
     t3 = p.b1 - k
     if t3 == 0:
@@ -414,7 +415,7 @@ def region_e_plan(p: MulticastParams, field: FieldSpec | None = None) -> RegionE
 
 
 def _region_e(p: MulticastParams, field: FieldSpec | None) -> StreamingCodeSpec:
-    return region_e_plan(p, field).to_spec()
+    return _region_e_plan(p, field).to_spec()
 
 
 # -- region (f) edges ----------------------------------------------------------
