@@ -65,9 +65,9 @@ class FieldSpec:
       with no meaning, so callers must test for zero themselves;
     - ``scale``: ``scale[l]`` for 0 <= l < 255 is the 256-byte table of
       x -> 2^l * x, so ``bytes.translate`` multiplies every byte of a string
-      by 2^l at once.  The solver scales an rhs packed one equation per byte
-      lane this way, and the deadline sweep a slice of the stream packed one
-      burst start per byte lane.
+      by 2^l at once.  The encoder scales a source row over time this way,
+      and the deadline sweep and the solver an rhs packed one burst start
+      per byte lane, which the one elimination solves directly.
 
     ``mul`` and ``inv`` are the reference these uses are tested against.
     """
@@ -143,9 +143,10 @@ class IncrementalSolver:
     A right-hand side may pack a vector into one int: bit j is entry j on
     GF(2), where XOR already works entry-wise, and byte lane j on GF(2^8),
     whose products scale every lane at once through ``FieldSpec.scale``.
-    Elimination is linear in the rhs, so with unit vectors as rhs it
-    returns, in place of values, the combinations of the equations' rhs
-    that give them.
+    Elimination is linear in the rhs, so on GF(2^8) with one burst start's
+    rhs per lane it returns every start's value at once, and on GF(2) with
+    unit vectors as rhs the combinations of the equations' rhs that give
+    the values.
     """
 
     def __init__(self, field: FieldSpec):

@@ -210,48 +210,35 @@ def _solve(field, equations, received: Sequence, n_unknowns: int) -> list:
 
 
 def _combinations(field, equations: Sequence, n_unknowns: int):
-    """Eliminate ``equations`` once, the rhs of the j-th being the unit
-    vector e_j: bit j of an int on GF(2), byte lane j on GF(2^8).
+    """GF(2): eliminate ``equations`` once, the rhs of the j-th being the unit
+    vector e_j, bit j of an int.
 
     Elimination is linear in the rhs, so the solver hands back, in place of
     values, combinations of the equations' rhs values.  Returns
     ``(times, combinations, residuals)``: per unknown column its recovery
     time and combination, ``None`` and 0 when the equations never determine
     it, and per dependent equation the combination that must be 0 for the
-    system to be consistent.  A combination is an int on GF(2), as
-    :func:`_evaluate` reads it, and a list of ``(equation index, log
-    coefficient)`` on GF(2^8), as :func:`_first_wrong_lanes` reads it.
+    system to be consistent, each as :func:`_evaluate` reads it.
     """
-    binary = field.order_exponent == 1
-    lane = 1 if binary else 8
     solver = IncrementalSolver(field)
     times = [None] * n_unknowns
     combinations = [0] * n_unknowns
     residuals = []
     for j, (t, _, eq, _) in enumerate(equations):
         try:
-            fresh = solver.add_equation(eq, 1 << (lane * j))
+            fresh = solver.add_equation(eq, 1 << j)
         except InconsistentSystemError as exc:  # eq is in the span: e_j survives
             residuals.append(exc.rhs)
             continue
         for col, combo in fresh:
             times[col] = t
             combinations[col] = combo
-    if not binary:
-        log = field.log
-
-        def terms(combo):
-            lanes = combo.to_bytes((combo.bit_length() + 7) >> 3, "little")
-            return [(j, log[c]) for j, c in enumerate(lanes) if c]
-
-        combinations = [terms(combo) for combo in combinations]
-        residuals = [terms(combo) for combo in residuals]
     return times, combinations, residuals
 
 
 def _evaluate(combinations, values: Sequence[int]) -> list[int]:
-    """The value of each of :func:`_combinations`' GF(2) ``combinations``
-    at the rhs ``values``."""
+    """The value of each of :func:`_combinations`' ``combinations`` at the
+    rhs ``values``."""
     packed = 0
     for j, value in enumerate(values):
         if value:
@@ -266,40 +253,43 @@ def _evaluate(combinations, values: Sequence[int]) -> list[int]:
 _CONTRADICTION = 0
 
 
-def _first_wrong_per_start(field, plan, channel, src, memory: int, n_starts: int):
-    """GF(2): the first failing dependent equation or decoded value of one
-    burst length's ``plan`` over the starts ``memory + shift``, ``shift`` <
-    ``n_starts``, replayed one start at a time.
+def _first_wrong_per_start(field, equations, n_unknowns, channel, src, memory: int, n_starts: int):
+    """GF(2): one burst length's ``equations``, eliminated once into
+    :func:`_combinations` and evaluated at the starts ``memory + shift``,
+    ``shift`` < ``n_starts``, one start at a time.
 
-    Returns ``(shift, rank, rhs)`` for the lowest shift and, at it, the
-    lowest rank, ``rhs`` being the contradicting value (``None`` for a wrong
-    decoded value); ``None`` when all of them check out.
+    Returns ``(times, wrong)``: per unknown column its recovery time
+    (``None`` if never determined), and the first failing dependent
+    equation or decoded value as ``(shift, rank, rhs)`` for the lowest shift
+    and, at it, the lowest rank, ``rhs`` being the contradicting value
+    (``None`` for a wrong decoded value), or ``None`` if all check out.
     """
-    equations, _, combinations, residuals = plan
+    times, combinations, residuals = _combinations(field, equations, n_unknowns)
     n_src = len(src[0])
     for shift in range(n_starts):
         values = [rhs for _, _, rhs in _with_rhs(field, equations, channel, shift)]
         contradiction = next((v for v in _evaluate(residuals, values) if v), 0)
         if contradiction:
-            return shift, _CONTRADICTION, contradiction
+            return times, (shift, _CONTRADICTION, contradiction)
         for col, value in enumerate(_evaluate(combinations, values)):
             if value != src[memory + shift + col // n_src][col % n_src]:
-                return shift, 2 * col + 2, None
-    return None
+                return times, (shift, 2 * col + 2, None)
+    return times, None
 
 
-def _first_wrong_lanes(field, plan, channel, src, memory: int, n_starts: int):
-    """GF(2^8): :func:`_first_wrong_per_start` with every start at once,
-    start ``memory + shift`` in byte lane ``shift``.
+def _solve_lanes(field, equations, n_unknowns, channel, src, memory: int, n_starts: int):
+    """GF(2^8): :func:`_first_wrong_per_start` with every start solved in
+    the one elimination, start ``memory + shift`` in byte lane ``shift``.
 
-    ``channel[pos]`` and ``src[row]`` are byte strings over time, one byte
-    per time step, so the slice from t on holds time t + shift in lane
-    ``shift``.  An equation's rhs at every start is its parity slice less
-    each known tap's source slice, scaled by ``FieldSpec.scale`` in one
-    translate; each combination is evaluated the same way.  The lowest
-    nonzero byte of a difference is its first failing start.
+    ``channel[pos]`` and ``src[row]`` are byte strings over time, so the
+    slice from t on holds time t + shift in lane ``shift``.  An equation's
+    rhs is its parity slice less each known tap's source slice, scaled by
+    one ``FieldSpec.scale`` translate.  A fresh column's value then holds
+    its decoded value at each start, and a dependent equation refused for a
+    nonzero reduced rhs is a contradiction.  The lowest nonzero byte of a
+    refused rhs, or of a decoded value less the source, is its first
+    failing start.
     """
-    equations, _, combinations, residuals = plan
     scale = field.scale
 
     def lanes(stream: bytes, t: int, log_coeff: int = 0) -> int:
@@ -308,32 +298,34 @@ def _first_wrong_lanes(field, plan, channel, src, memory: int, n_starts: int):
     def first_lane(v: int) -> int:
         return ((v & -v).bit_length() - 1) >> 3
 
-    rhs = []
-    for t, pos, _, known in equations:
-        acc = lanes(channel[pos], t)
+    solver = IncrementalSolver(field)
+    times = [None] * n_unknowns
+    values = [0] * n_unknowns
+    refused = []
+    for t, pos, eq, known in equations:
+        rhs = lanes(channel[pos], t)
         for delay, row, w in known:
-            acc ^= lanes(channel[row], t - delay, w)
-        rhs.append(acc.to_bytes(n_starts, "little"))
-
-    def evaluate(terms) -> int:
-        acc = 0
-        for j, lc in terms:
-            acc ^= lanes(rhs[j], 0, lc)
-        return acc
-
+            rhs ^= lanes(channel[row], t - delay, w)
+        try:
+            fresh = solver.add_equation(eq, rhs)
+        except InconsistentSystemError as exc:
+            refused.append(exc.rhs)
+            continue
+        for col, value in fresh:
+            times[col] = t
+            values[col] = value
     wrong = None
-    bad = [v for v in map(evaluate, residuals) if v]
-    if bad:
-        shift = min(map(first_lane, bad))
+    if refused:
+        shift = min(map(first_lane, refused))
         # the first dependent equation, in order, that fails at that start
-        contradiction = next(c for v in bad if (c := v >> (8 * shift) & 0xFF))
+        contradiction = next(c for v in refused if (c := v >> (8 * shift) & 0xFF))
         wrong = (shift, _CONTRADICTION, contradiction)
     n_src = len(src)
-    for col, terms in enumerate(combinations):
-        diff = evaluate(terms) ^ lanes(src[col % n_src], memory + col // n_src)
+    for col, value in enumerate(values):
+        diff = value ^ lanes(src[col % n_src], memory + col // n_src)
         if diff and (wrong is None or first_lane(diff) < wrong[0]):
             wrong = (first_lane(diff), 2 * col + 2, None)
-    return wrong
+    return times, wrong
 
 
 def generic_decode(
@@ -435,13 +427,14 @@ def verify_deadlines(
     sub-symbol by its deadline t + user.delay (inclusive).
 
     All trials decode one encoded stream.  Each burst length is eliminated
-    once; every trial then evaluates that elimination's recovery
-    combinations at its own received values, checks each decoded value
-    against the encoded source and checks that every dependent equation
-    agrees with the others.  GF(2) replays the trials one start at a time;
-    GF(2^8) evaluates all starts of a length at once, one start per byte
-    lane.  Returns the first counterexample in trial order (start, then
-    length, then column).  Raises ``ValueError`` when ``window`` is below 1,
+    once, which gives every erased sub-symbol's recovery time; the trials
+    of that length also check each decoded value against the encoded source
+    and check that every dependent equation agrees with the others.  GF(2)
+    records the elimination's recovery combinations and evaluates them one
+    start at a time; GF(2^8) solves every start directly in the one
+    elimination, one start per byte lane of the rhs.  Returns the first
+    counterexample in trial order (start, then length, then column).
+    Raises ``ValueError`` when ``window`` is below 1,
     :class:`MisdecodeError` on a wrong decoded value and
     :class:`InconsistentSystemError` on a contradicting equation, each for
     the first such trial in the same order.
@@ -456,51 +449,40 @@ def verify_deadlines(
     horizon = memory + window + user.burst + user.delay + 1
     src = source_fill(n_src, horizon, field.size, seed)
     channel = encode(spec, src, horizon)
-    # Each length's equations are built and eliminated once, for the burst
-    # at start ``memory``, and replayed shifted to every later start.  That
-    # is exact: every start is >= memory, so every tap of a received time
-    # t >= start reaches t - delay >= 0, and the t - delay >= 0 filter and
-    # the erased columns are the same at every start.  So are the row
-    # operations, which never look at an rhs: only the rhs values move, and
-    # each start evaluates the combinations the one elimination recorded.
-    # Equations arriving after the last deadline, start + length + delay,
-    # cannot help meet it.
-    plans = []
-    for length in range(1, user.burst + 1):
-        last = memory + length + user.delay
-        equations = list(_equations(spec, range(memory, memory + length), last + 1))
-        plans.append((equations, *_combinations(field, equations, length * n_src)))
     if field.order_exponent == 1:
-        first_wrong, received, source = _first_wrong_per_start, channel, src
+        solve, received, source = _first_wrong_per_start, channel, src
     else:
         # one byte string per sub-symbol position, one byte per time step
-        first_wrong = _first_wrong_lanes
+        solve = _solve_lanes
         received = [bytes(position) for position in zip(*channel)]
         source = [bytes(row) for row in zip(*src)]
-    # The first failing trial, as (shift, length, rank, payload).  A recovery
-    # time moves with the start, and so does its deadline, so a deadline
-    # missed at one start is missed at every start: the first is at shift 0.
+    # Each length's equations are built and eliminated once, for the burst
+    # at start ``memory``, and their rhs read at every later start.  That is
+    # exact: every start is >= memory, so every tap of a received time
+    # t >= start reaches t - delay >= 0, and the t - delay >= 0 filter and
+    # the erased columns are the same at every start.  So are the row
+    # operations, which never look at an rhs: only the rhs values move.
+    # Equations arriving after the last deadline, start + length + delay,
+    # cannot help meet it.  ``first`` is the first failing trial, as
+    # (shift, length, rank, payload).  A recovery time moves with the start,
+    # and so does its deadline, so a deadline missed at one start is missed
+    # at every start: the first is at shift 0.  A longer burst comes first
+    # only at an earlier start.
     first = None
-    for length, (_, times, _, _) in enumerate(plans, start=1):
-        late = [
-            col
-            for col, when in enumerate(times)
-            if when is None or when > memory + col // n_src + user.delay
-        ]
-        if late:
-            first = (0, length, 2 * late[0] + 1, times[late[0]])
-            break
-    # A wrong value comes first only at an earlier trial, so each length
-    # replays the starts up to the first failure found so far.
-    for length, plan in enumerate(plans, start=1):
-        n_starts = window if first is None else first[0] + (length <= first[1])
+    for length in range(1, user.burst + 1):
+        n_starts = window if first is None else first[0]
         if n_starts == 0:
             break
-        wrong = first_wrong(field, plan, received, source, memory, n_starts)
+        last = memory + length + user.delay
+        equations = list(_equations(spec, range(memory, memory + length), last + 1))
+        times, wrong = solve(field, equations, length * n_src, received, source, memory, n_starts)
+        for col, when in enumerate(times):
+            if when is None or when > memory + col // n_src + user.delay:
+                late = (0, 2 * col + 1, when)
+                wrong = late if wrong is None else min(wrong, late)
+                break
         if wrong is not None:
-            shift, rank, rhs = wrong
-            if first is None or (shift, length, rank) < first[:3]:
-                first = (shift, length, rank, rhs)
+            first = (wrong[0], length, *wrong[1:])
     if first is None:
         return VerifyResult(True, window * user.burst)
     shift, length, rank, payload = first

@@ -147,27 +147,44 @@ ChannelStream = list
 
 def encode(spec: StreamingCodeSpec, src: SourceStream, horizon: int) -> ChannelStream:
     """Channel symbols for t in [0, horizon): systematic copy of s[t]
-    followed by the parity rows, with s[t < 0] = 0."""
+    followed by the parity rows, with s[t < 0] = 0.
+
+    A parity row is the XOR of its taps' source columns, each a byte string
+    over time scaled by one ``FieldSpec.scale`` translate, read as an int
+    and shifted ``delay`` bytes later.  Raises ``ValueError`` naming the
+    first (t, row) whose source value lies outside [0, field size).
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     field = spec.field
-    zeros = (0,) * spec.n_source
+    size = field.size
     padded = [tuple(s) for s in list(src)[:horizon]]
     if any(len(s) != spec.n_source for s in padded):
         raise ValueError("source symbol width does not match n_source")
-    padded.extend([zeros] * (horizon - len(padded)))
-    out = []
-    for t in range(horizon):
-        sym = list(padded[t])
-        for row in spec.parity_rows:
-            acc = 0
-            for tap in row.taps:
-                tt = t - tap.delay
-                if tt >= 0:
-                    acc = field.add(acc, field.mul(tap.coeff, padded[tt][tap.source_row]))
-            sym.append(acc)
-        out.append(tuple(sym))
-    return out
+    padded.extend([(0,) * spec.n_source] * (horizon - len(padded)))
+    try:
+        columns = [bytes(column) for column in zip(*padded)]
+    except (TypeError, ValueError):  # a value that is no byte
+        columns = None
+    if columns is None or any(max(c) >= size for c in columns):
+        t, row = next(
+            (t, row)
+            for t, sym in enumerate(padded)
+            for row, v in enumerate(sym)
+            if not (isinstance(v, int) and 0 <= v < size)
+        )
+        raise ValueError(f"source value {padded[t][row]!r} at {(t, row)} outside [0, {size})")
+    mask = (1 << (8 * horizon)) - 1
+    parity = []
+    for prow in spec.parity_rows:
+        acc = 0
+        for tap in prow.taps:
+            column = columns[tap.source_row]
+            if tap.coeff != 1:
+                column = column.translate(field.scale[field.log[tap.coeff]])
+            acc ^= int.from_bytes(column, "little") << (8 * tap.delay)
+        parity.append((acc & mask).to_bytes(horizon, "little"))
+    return list(zip(*columns, *parity))
 
 
 # -- canonical text form (the golden-file format) ---------------------------

@@ -218,6 +218,39 @@ def test_window_local_sweep_matches_whole_prefix_decode(cases):
         assert verify_deadlines(spec, user, window) == _reference_verify_deadlines(spec, user, window)
 
 
+def test_lane_sweep_matches_whole_prefix_decode_on_dropped_gf256_rows():
+    # Every GF(2^8) build <= 6 with one parity row dropped, both users, at
+    # windows 1, 3 and 4 * memory: most of these sweeps fail.  A build that
+    # repeats across points is checked once.  The reference runs once, over
+    # the widest window; a narrower window runs the same trials in the same
+    # order on a prefix of the same stream, so its verdict follows.
+    seen = set()
+    failed = 0
+    for point in itertools.product(range(1, 7), repeat=4):
+        p = MulticastParams(*point)
+        if point[0] > point[2] or not constructible(p):
+            continue
+        good = construct(p, GF256)
+        for drop in range(good.n_parity):
+            rows = good.parity_rows[:drop] + good.parity_rows[drop + 1 :]
+            spec = StreamingCodeSpec(GF256, good.n_source, rows, "dropped")
+            for user in (UserSpec(p.b1, p.t1), UserSpec(p.b2, p.t2)):
+                if (spec.n_source, rows, user) in seen:
+                    continue
+                seen.add((spec.n_source, rows, user))
+                widest = 4 * max(spec.memory, 1)
+                reference = _reference_verify_deadlines(spec, user, widest)
+                ce = reference.counterexample
+                for window in (1, 3, widest):
+                    expected = reference
+                    if ce is None or ce.burst_start >= spec.memory + window:
+                        expected = VerifyResult(True, window * user.burst)
+                    got = verify_deadlines(spec, user, window)
+                    assert got == expected, (point, drop, user, window)
+                    failed += not got.passed
+    assert (len(seen), failed) == (925, 2232)
+
+
 @pytest.mark.parametrize("window", [1, 3, 24])
 def test_verify_builds_each_lengths_equations_once(monkeypatch, window):
     built = []
@@ -253,6 +286,29 @@ def test_verify_eliminates_each_length_once(monkeypatch):
         assert verify_deadlines(spec, UserSpec(3, 6), window).passed
         counts.append(len(calls))
     assert counts[0] > 0 and counts == [counts[0]] * 3
+
+
+def test_verify_encodes_once_per_call(monkeypatch):
+    # every trial reads one encoded stream: the tests that flip or replace
+    # it patch channel_sim.encode, and the benchmark's tracer counts it there
+    horizons = []
+    real_encode = channel_sim.encode
+
+    def counted(spec, src, horizon):
+        horizons.append(horizon)
+        return real_encode(spec, src, horizon)
+
+    monkeypatch.setattr(channel_sim, "encode", counted)
+    for spec, user, passed in [
+        (construct_sco(ScoParams(2, 3)), UserSpec(2, 3), True),
+        (_sabotaged_sco_2_3(), UserSpec(2, 3), False),
+        (_gf256_2626(), UserSpec(2, 6), True),
+        (_sabotaged_gf256_2626(), UserSpec(2, 6), False),
+    ]:
+        for window in (1, 24):
+            horizons.clear()
+            assert verify_deadlines(spec, user, window).passed == passed
+            assert horizons == [spec.memory + window + user.burst + user.delay + 1]
 
 
 def _flip_parity(monkeypatch, t, pos):

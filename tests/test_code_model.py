@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from burstfec.code_model import (
     spec_from_text,
     spec_to_text,
 )
+from burstfec.channel_sim import source_fill
+from burstfec.musco import MulticastParams, construct, constructible
 
 
 def _unit_delay_spec():
@@ -35,6 +39,57 @@ def test_encode_zero_source_gives_zero_stream():
     spec = StreamingCodeSpec(GF2, 2, (make_row([Tap(0, 2, 1), Tap(1, 1, 1)]),))
     out = encode(spec, [(0, 0)] * 6, 6)
     assert all(sym == (0, 0, 0) for sym in out)
+
+
+def _tap_formula(spec, src, horizon):
+    """The encoder's definition, one sub-symbol at a time: parity row r at
+    time i is the sum over its taps (row, delay, coeff) of
+    coeff * s_row[i - delay], with s[t < 0] = 0."""
+    field = spec.field
+    out = []
+    for i in range(horizon):
+        sym = list(src[i])
+        for prow in spec.parity_rows:
+            acc = 0
+            for tap in prow.taps:
+                if i - tap.delay >= 0:
+                    acc = field.add(acc, field.mul(tap.coeff, src[i - tap.delay][tap.source_row]))
+            sym.append(acc)
+        out.append(tuple(sym))
+    return out
+
+
+def test_encode_matches_the_tap_formula_on_every_construction():
+    # every constructible point <= 8 over both fields; horizons 1 and
+    # memory leave the longest taps (delay >= horizon) reading before t = 0
+    checked = 0
+    for point in itertools.product(range(1, 9), repeat=4):
+        p = MulticastParams(*point)
+        if point[0] > point[2] or not constructible(p):
+            continue
+        for spec in (construct(p), construct(p, GF256)):
+            for seed in (0, 3):
+                for horizon in (1, spec.memory, spec.memory + 7):
+                    src = source_fill(spec.n_source, horizon, spec.field.size, seed)
+                    assert encode(spec, src, horizon) == _tap_formula(spec, src, horizon), (
+                        point, spec.field, seed, horizon,
+                    )
+                    checked += 1
+    assert checked == 720 * 2 * 2 * 3
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(GF2, 3), (GF2, 2), (GF2, -1), (GF256, 300), (GF256, 256), (GF256, -1), (GF2, 1.0), (GF256, None)],
+)
+def test_encode_rejects_a_source_value_outside_the_field(field, value):
+    spec = StreamingCodeSpec(field, 2, (make_row([Tap(0, 1, 1), Tap(1, 0, 1)]),))
+    src = [(1, 0), (0, 1), (1, value), (value, 0)]
+    message = rf"^source value {re.escape(repr(value))} at \(2, 1\) outside \[0, {field.size}\)$"
+    with pytest.raises(ValueError, match=message):
+        encode(spec, src, 4)
+    # a value past the horizon is never read
+    assert encode(spec, src, 2) == [(1, 0, 0), (0, 1, 0)]
 
 
 def test_shift_rows_positive_and_negative():
