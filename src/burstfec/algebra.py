@@ -8,7 +8,9 @@ kept as a fallback for block codes that have no binary realization.
 The elimination code is shared by the block-code verifier and the streaming
 decoder.  It keeps the system in reduced row echelon form at all times so
 that an unknown is reported *determined* exactly when every satisfying
-assignment gives it the same value.
+assignment gives it the same value.  Rows are packed lanes on both fields,
+one coefficient per bit on GF(2) and per byte on GF(2^8), so one
+elimination loop serves both.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ class FieldSpec:
     - ``scale``: ``scale[l]`` for 0 <= l < 255 is the 256-byte table of
       x -> 2^l * x, so ``bytes.translate`` multiplies every byte of a string
       by 2^l at once.  The encoder scales a source row over time this way,
-      and the deadline sweep and the solver an rhs packed one burst start
-      per byte lane, which the one elimination solves directly.
+      and the solver a packed row or right-hand side, such as the deadline
+      sweep's rhs with one burst start per byte lane.
 
     ``mul`` and ``inv`` are the reference these uses are tested against.
     """
@@ -129,164 +131,96 @@ class IncrementalSolver:
     pivot row has singleton support.  ``add_equation`` returns the unknowns
     that became determined because of that equation.
 
+    Rows are packed lanes on both fields: an int whose lane j, ``m`` =
+    ``order_exponent`` bits wide, holds column j's coefficient (bit j on
+    GF(2), byte j on GF(2^8)).  Each pivot row is scaled so that its pivot
+    lane is 1 and is its lowest nonzero lane, so a row is a singleton
+    exactly when it is a power of two.  A factor other than 1 occurs only on
+    GF(2^8), where it scales every lane of a row at once through
+    ``FieldSpec.scale``.
+
     A pivot row changes only when an equation's new pivot column is
-    eliminated from it, and a singleton row never holds another pivot's
-    column, so the fresh singletons are found among the rows an equation
-    touches plus its own new row; the other rows need no rescan.  For the
-    same reason a singleton row never changes again, so the GF(2^8) path
-    looks for touched rows only among the pivots whose rows are not yet
-    singletons, kept in pivot order.
+    eliminated from it, so the fresh singletons are found among the rows an
+    equation touches plus its own new row; the other rows need no rescan.
 
-    GF(2) rows are stored as int bitmasks (column j <-> bit j); GF(2^8)
-    rows are sparse coefficient dicts with the pivot scaled to 1.
-
-    A right-hand side may pack a vector into one int: bit j is entry j on
-    GF(2), where XOR already works entry-wise, and byte lane j on GF(2^8),
-    whose products scale every lane at once through ``FieldSpec.scale``.
-    Elimination is linear in the rhs, so on GF(2^8) with one burst start's
-    rhs per lane it returns every start's value at once, and on GF(2) with
-    unit vectors as rhs the combinations of the equations' rhs that give
-    the values.
+    A right-hand side may pack a vector into one int, in the same lanes: bit
+    j is entry j on GF(2), byte lane j on GF(2^8), and a product scales it
+    exactly as it scales a row.  Elimination is linear in the rhs, so on
+    GF(2^8) with one burst start's rhs per lane it returns every start's
+    value at once, and on GF(2) with unit vectors as rhs the combinations of
+    the equations' rhs that give the values.
     """
 
     def __init__(self, field: FieldSpec):
         self.field = field
-        self._binary = field.order_exponent == 1
-        self._pivots: dict[int, tuple] = {}  # col -> (row, rhs)
-        # GF(2^8): pivot columns whose rows are not singletons, in pivot
-        # order (a dict used as an ordered set).
-        self._unresolved: dict[int, None] = {}
+        self._pivots: dict[int, tuple[int, int]] = {}  # col -> (row, rhs)
+
+    def _times(self, v: int, factor: int) -> int:
+        """``v`` with every lane multiplied by the GF(2^8) ``factor``."""
+        return _scale_lanes(v, self.field.scale[self.field.log[factor]])
 
     def add_equation(self, coeffs, rhs: int) -> list[tuple[int, int]]:
-        """Insert one equation; ``coeffs`` maps column -> coefficient, and a
-        zero coefficient is the same as an absent column.
+        """Insert one equation.  ``coeffs`` is a packed row or maps column ->
+        coefficient, a zero coefficient being the same as an absent column.
 
-        For GF(2) an int bitmask is also accepted.  Returns ``(col, value)``
-        per newly determined unknown, in pivot insertion order.  Raises
-        :class:`InconsistentSystemError`, carrying the reduced rhs, when the
-        equation contradicts the current span; the solver is then as it was
-        before the call.
+        Returns ``(col, value)`` per newly determined unknown, in pivot
+        insertion order.  Raises :class:`InconsistentSystemError`, carrying
+        the reduced rhs, when the equation contradicts the current span; the
+        solver is then as it was before the call.
         """
-        if self._binary:
-            return self._add_binary(coeffs, rhs)
-        row = dict(coeffs)
-        if 0 in row.values():  # rows hold nonzero entries only: log[0] means nothing
-            row = {c: v for c, v in row.items() if v}
-        return self._add_generic(row, rhs)
-
-    # -- GF(2) fast path ---------------------------------------------------
-
-    def _add_binary(self, mask, rhs: int) -> list[tuple[int, int]]:
-        if not isinstance(mask, int):
-            m = 0
-            for col, coeff in mask.items():
-                if coeff & 1:
-                    m ^= 1 << col
-            mask = m
+        m = self.field.order_exponent
+        lane = self.field.size - 1
+        if isinstance(coeffs, int):
+            row = coeffs
+        else:
+            row = 0
+            for col, coeff in coeffs.items():
+                row ^= (coeff & lane) << (col * m)
         pivots = self._pivots
         # Reduce against every pivot column present in the row.  Pivot rows
-        # keep their pivot as the lowest set bit, so elimination only ever
-        # introduces higher bits and one ascending scan suffices.
-        scan = mask
+        # keep their pivot as the lowest nonzero lane, so elimination only
+        # ever changes higher lanes and one ascending scan suffices.
+        scan = row
         while scan:
-            low = scan & -scan
-            col = low.bit_length() - 1
+            col = ((scan & -scan).bit_length() - 1) // m
             hit = pivots.get(col)
+            top = (col + 1) * m
             if hit is not None:
-                mask ^= hit[0]
-                rhs ^= hit[1]
-                scan = mask >> (col + 1) << (col + 1)
+                prow, prhs = hit
+                f = row >> (col * m) & lane
+                if f != 1:
+                    prow, prhs = self._times(prow, f), self._times(prhs, f)
+                row ^= prow
+                rhs ^= prhs
+                scan = row >> top << top
             else:
-                scan ^= low
-        if mask == 0:
+                scan = scan >> top << top
+        if row == 0:
             if rhs:
                 raise InconsistentSystemError(rhs)
             return []
-        col = (mask & -mask).bit_length() - 1
-        bit = 1 << col
+        col = ((row & -row).bit_length() - 1) // m
+        shift = col * m
+        f = row >> shift & lane
+        if f != 1:  # normalise the pivot lane to 1
+            f = self.field.inv(f)
+            row, rhs = self._times(row, f), self._times(rhs, f)
+        # Back-substitute into every row holding the new pivot column.
+        at = lane << shift
         fresh = []
-        for c, (pm, pr) in list(pivots.items()):
-            if pm & bit:
-                pm ^= mask
-                pr ^= rhs
-                pivots[c] = (pm, pr)
-                if pm & (pm - 1) == 0:
-                    fresh.append((c, pr))
-        pivots[col] = (mask, rhs)
-        if mask == bit:
-            fresh.append((col, rhs))
-        return fresh
-
-    # -- GF(2^8) path ------------------------------------------------------
-
-    def _add_generic(self, row: dict[int, int], rhs: int) -> list[tuple[int, int]]:
-        # Rows hold nonzero coefficients only, so every product is a lookup
-        # in the field's tables: a*b = exp[log a + log b].  An rhs of more
-        # than one lane (>= size) is scaled lane-wise by ``scale`` instead.
-        field = self.field
-        exp, log, scale, size = field.exp, field.log, field.scale, field.size
-        pivots = self._pivots
-        # One pass over the pivot columns the row holds.  Every pivot row is
-        # zero on every other pivot column (RREF), so eliminating one never
-        # changes the row's entry at another: each factor is read as it
-        # stands and the reduced row does not depend on the order.
-        for c in row.keys() & pivots.keys():
-            prow, prhs = pivots[c]
-            lf = log[row[c]]
-            for cc, v in prow.items():
-                nv = row.get(cc, 0) ^ exp[lf + log[v]]
-                if nv:
-                    row[cc] = nv
+        for c, (prow, prhs) in list(pivots.items()):
+            if prow & at:
+                f = prow >> shift & lane
+                if f == 1:
+                    prow ^= row
+                    prhs ^= rhs
                 else:
-                    del row[cc]
-            if prhs:
-                rhs ^= exp[lf + log[prhs]] if prhs < size else _scale_lanes(prhs, scale[lf])
-        if not row:
-            if rhs:
-                raise InconsistentSystemError(rhs)
-            return []
-        col = min(row)
-        # Normalize the pivot to 1 by dividing by the lead: subtract its log
-        # mod the group order, and keep the row's logs for the walk below.
-        order = size - 1
-        lead = log[row[col]]
-        if len(row) == 1:
-            lrow = ((col, 0),)
-            row = {col: 1}
-        else:
-            lrow = [(c, (log[v] - lead) % order) for c, v in row.items()]
-            row = {c: exp[lv] for c, lv in lrow}
-        if rhs >= size:
-            rhs = _scale_lanes(rhs, scale[-lead % order])
-        elif rhs:
-            lrhs = (log[rhs] - lead) % order
-            rhs = exp[lrhs]
-        # Back-substitute into the rows that hold the new pivot column; a
-        # singleton row holds no other pivot's column, so only unresolved
-        # rows are looked at, in pivot order as the fresh list needs.
-        fresh = []
-        unresolved = self._unresolved
-        for c in list(unresolved):
-            prow, prhs = pivots[c]
-            factor = prow.get(col)
-            if factor:
-                lf = log[factor]
-                nrow = dict(prow)
-                for cc, lv in lrow:
-                    nv = nrow.get(cc, 0) ^ exp[lf + lv]
-                    if nv:
-                        nrow[cc] = nv
-                    else:
-                        del nrow[cc]
-                if rhs:
-                    prhs ^= exp[lf + lrhs] if rhs < size else _scale_lanes(rhs, scale[lf])
-                pivots[c] = (nrow, prhs)
-                if len(nrow) == 1:
+                    prow ^= self._times(row, f)
+                    prhs ^= self._times(rhs, f)
+                pivots[c] = (prow, prhs)
+                if prow & (prow - 1) == 0:
                     fresh.append((c, prhs))
-                    del unresolved[c]
         pivots[col] = (row, rhs)
-        if len(row) == 1:
+        if row & (row - 1) == 0:
             fresh.append((col, rhs))
-        else:
-            unresolved[col] = None
         return fresh

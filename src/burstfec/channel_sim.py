@@ -117,10 +117,11 @@ def _equations(spec: StreamingCodeSpec, erased_times: Sequence[int], horizon: in
 
     ``erased_times`` is ascending and below ``horizon``.  Yields
     ``(t, pos, eq, known)`` per received parity sub-symbol (t, pos) whose
-    taps reach an unknown: ``eq`` maps the unknowns' columns (erased time
-    index * n_source + row) to coefficients, as a bitmask on GF(2), and
-    ``known`` lists the ``(delay, source row, w)`` taps that read a received
-    source, whose values :func:`_solve` folds into the rhs.  The other parity
+    taps reach an unknown: ``eq`` is the packed row of the unknowns' columns
+    (erased time index * n_source + row), as
+    :class:`~burstfec.algebra.IncrementalSolver` takes it, and ``known``
+    lists the ``(delay, source row, w)`` taps that read a received source,
+    whose values :func:`_solve` folds into the rhs.  The other parity
     sub-symbols carry no information about the unknowns, so the scan starts
     at the first erased time.
     """
@@ -128,46 +129,32 @@ def _equations(spec: StreamingCodeSpec, erased_times: Sequence[int], horizon: in
         return
     n_src = spec.n_source
     field = spec.field
-    binary = field.order_exponent == 1
-    first_col = {t: i * n_src for i, t in enumerate(erased_times)}
-    # Per-tap (delay, source row, w): on GF(2^8) w is the log of the
-    # coefficient, so every product is a table lookup; GF(2) ignores it.  A
-    # zero tap adds nothing to either side of an equation, and leaving it
-    # out keeps log[0] out of the arithmetic.
-    if binary:
-        rows = [
-            (n_src + r, [(tap.delay, tap.source_row, tap.coeff) for tap in prow.taps])
-            for r, prow in enumerate(spec.parity_rows)
-        ]
-    else:
-        exp, log = field.exp, field.log
-        rows = [
-            (n_src + r, [(tap.delay, tap.source_row, log[tap.coeff]) for tap in prow.taps if tap.coeff])
-            for r, prow in enumerate(spec.parity_rows)
-        ]
+    m = field.order_exponent
+    # the bit offset of each erased time's first column in a packed row
+    first_bit = {t: i * n_src * m for i, t in enumerate(erased_times)}
+    # Per tap (delay, source row, w, coefficient in its row's lane): w is
+    # the log of the coefficient, so every product with a known source is a
+    # table lookup.  A GF(2) coefficient is 1 = 2^0.
+    log = field.log if m > 1 else (0, 0)
+    rows = [
+        (n_src + r, [(tap.delay, tap.source_row, log[tap.coeff], tap.coeff << (tap.source_row * m))
+                     for tap in prow.taps])
+        for r, prow in enumerate(spec.parity_rows)
+    ]
     for t in range(erased_times[0], horizon):
-        if t in first_col:
+        if t in first_bit:
             continue
         for pos, taps in rows:
-            if binary:
-                eq = 0
-                for delay, row, _ in taps:
-                    col = first_col.get(t - delay)
-                    if col is not None:
-                        eq ^= 1 << (col + row)
-            else:
-                eq = {}
-                for delay, row, w in taps:
-                    col = first_col.get(t - delay)
-                    if col is not None:
-                        eq[col + row] = eq.get(col + row, 0) ^ exp[w]
-                if 0 in eq.values():
-                    eq = {c: v for c, v in eq.items() if v}
+            eq = 0
+            for delay, _, _, coeff in taps:
+                bit = first_bit.get(t - delay)
+                if bit is not None:
+                    eq ^= coeff << bit
             if eq:
                 known = [
                     (delay, row, w)
-                    for delay, row, w in taps
-                    if t - delay >= 0 and t - delay not in first_col
+                    for delay, row, w, _ in taps
+                    if t - delay >= 0 and t - delay not in first_bit
                 ]
                 yield t, pos, eq, known
 
@@ -328,6 +315,31 @@ def _solve_lanes(field, equations, n_unknowns, channel, src, memory: int, n_star
     return times, wrong
 
 
+def _check_received(spec: StreamingCodeSpec, symbols: list, times: list[int]) -> None:
+    """Raise ``ValueError`` naming the first of ``symbols``, received at
+    ``times``, whose width is not the code's, or else the first (t, position)
+    whose value is no field element.
+
+    The common case costs one ``bytes`` per position, as in ``encode``.
+    """
+    width = spec.n_source + spec.n_parity
+    size = spec.field.size
+    try:
+        ok = set(map(len, symbols)) <= {width} and all(
+            max(bytes(position)) < size for position in zip(*symbols)
+        )
+    except (TypeError, ValueError):  # a value that is no byte
+        ok = False
+    if ok:
+        return
+    for t, sym in zip(times, symbols):
+        if len(sym) != width:
+            raise ValueError(f"received symbol at time {t} has {len(sym)} positions, not {width}")
+        for pos, v in enumerate(sym):
+            if not (isinstance(v, int) and 0 <= v < size):
+                raise ValueError(f"received value {v!r} at {(t, pos)} outside [0, {size})")
+
+
 def generic_decode(
     spec: StreamingCodeSpec,
     received: Sequence,
@@ -337,7 +349,10 @@ def generic_decode(
     """Incremental elimination over the erased source sub-symbols.
 
     Equations arrive in time order; the recovery time of an unknown is the
-    first step at which the received prefix determines it uniquely.
+    first step at which the received prefix determines it uniquely.  Raises
+    ``ValueError`` on a horizon outside the stream, on a symbol present
+    where ``pattern`` erases or missing where it does not, and on a
+    received symbol of the wrong width or with a value outside the field.
     """
     if not 1 <= horizon <= len(received):
         raise ValueError(
@@ -352,6 +367,7 @@ def generic_decode(
     for t in clean:
         if received[t] is ERASED:
             raise ValueError(f"missing symbol at unerased time {t}")
+    _check_received(spec, [received[t] for t in clean], clean)
     n_src = spec.n_source
     report = DecodeReport(n_src, horizon)
     entries = report.entries

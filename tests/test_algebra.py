@@ -255,8 +255,7 @@ def _rescan(solver, seen):
     every singleton pivot row not reported before, in pivot order."""
     fresh = []
     for col, (row, rhs) in solver._pivots.items():
-        single = row & (row - 1) == 0 if isinstance(row, int) else len(row) == 1
-        if single and col not in seen:
+        if row & (row - 1) == 0 and col not in seen:
             seen.add(col)
             fresh.append((col, rhs))
     return fresh
@@ -279,8 +278,8 @@ def test_add_equation_reports_what_a_full_rescan_finds(field):
                 rhs ^= field.mul(c, truth[j])
             if not consistent and rng.random() < 0.3:
                 rhs ^= rng.randrange(1, field.size)
-            if field is GF2 and rng.random() < 0.5:
-                row = sum(1 << j for j in row)  # the bitmask form
+            if rng.random() < 0.5:  # the packed form, lane j holding column j
+                row = sum(c << (j * field.order_exponent) for j, c in row.items())
             try:
                 got = solver.add_equation(row, rhs)
             except InconsistentSystemError:
@@ -312,3 +311,56 @@ def test_add_equation_values_equal_the_planted_solution(field):
                 assert value == truth[col], (trial, col)
                 reported += 1
     assert reported > 600
+
+
+def _rank(field, rows):
+    """Rank of dense coefficient rows, by textbook Gaussian elimination with
+    the field's ``mul`` and ``inv``."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = field.inv(rows[rank][j])
+        rows[rank] = [field.mul(lead, x) for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                f = rows[i][j]
+                rows[i] = [x ^ field.mul(f, y) for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("field", [GF256], ids=["gf256"])
+def test_unknowns_are_reported_when_their_unit_row_enters_the_span(field):
+    # Unknown j is determined exactly when e_j lies in the row space of the
+    # coefficient rows so far, that is when appending e_j leaves the rank as
+    # it is.  After every equation each such j must have been reported, once,
+    # at the equation that put e_j in the span, with its planted value.
+    rng = random.Random(field.size * 17 + 0x11D)
+    reported = 0
+    for trial in range(200):
+        n = rng.randint(1, 8)
+        truth = [rng.randrange(field.size) for _ in range(n)]
+        solver, rows, determined = IncrementalSolver(field), [], set()
+        for step in range(rng.randint(1, n + 3)):
+            coeffs = [0] * n
+            support = rng.sample(range(n), rng.randint(1, min(n, 4)))
+            for j in support:
+                coeffs[j] = rng.randrange(1, field.size)
+            rows.append(coeffs)
+            rhs = 0
+            for j, c in enumerate(coeffs):
+                rhs ^= field.mul(c, truth[j])
+            for col, value in solver.add_equation(dict(enumerate(coeffs)), rhs):
+                assert col not in determined, (trial, col)
+                assert value == truth[col], (trial, col)
+                determined.add(col)
+            rank = _rank(field, rows)
+            units = [[int(i == j) for i in range(n)] for j in range(n)]
+            in_span = {j for j in range(n) if _rank(field, rows + [units[j]]) == rank}
+            assert determined == in_span, (trial, step)
+        reported += len(determined)
+    assert reported > 300

@@ -89,6 +89,36 @@ def test_generic_decode_rejects_a_horizon_outside_the_stream(horizon):
         generic_decode(spec, rec, SingleBurst(4, 2), horizon)
 
 
+def _received_at_1224(field):
+    spec = construct(MulticastParams(1, 2, 2, 4), field)
+    pattern = SingleBurst(2, 1)
+    src = source_fill(spec.n_source, 10, field.size)
+    return spec, apply_channel(encode(spec, src, 10), pattern), pattern
+
+
+def test_generic_decode_rejects_a_received_value_outside_gf2():
+    spec, rec, pattern = _received_at_1224(GF2)
+    rec[4] = rec[4][:1] + (2,) + rec[4][2:]
+    with pytest.raises(ValueError, match=re.escape("received value 2 at (4, 1) outside [0, 2)")):
+        generic_decode(spec, rec, pattern, 10)
+
+
+def test_generic_decode_rejects_a_received_symbol_of_the_wrong_width():
+    spec, rec, pattern = _received_at_1224(GF2)
+    width = spec.n_source + spec.n_parity
+    rec[4] = rec[4][:-1]
+    with pytest.raises(ValueError, match=f"time 4 has {width - 1} positions, not {width}"):
+        generic_decode(spec, rec, pattern, 10)
+
+
+@pytest.mark.parametrize("value", [300, -1])
+def test_generic_decode_rejects_a_received_value_outside_gf256(value):
+    spec, rec, pattern = _received_at_1224(GF256)
+    rec[4] = rec[4][:1] + (value,) + rec[4][2:]
+    with pytest.raises(ValueError, match=re.escape(f"received value {value} at (4, 1) outside [0, 256)")):
+        generic_decode(spec, rec, pattern, 10)
+
+
 def test_report_csv_shape():
     spec = construct_sco(ScoParams(1, 2))
     src = source_fill(2, 6, 2)
