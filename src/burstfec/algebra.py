@@ -132,16 +132,21 @@ class IncrementalSolver:
     that became determined because of that equation.
 
     Rows are packed lanes on both fields: an int whose lane j, ``m`` =
-    ``order_exponent`` bits wide, holds column j's coefficient (bit j on
-    GF(2), byte j on GF(2^8)).  Each pivot row is scaled so that its pivot
-    lane is 1 and is its lowest nonzero lane, so a row is a singleton
-    exactly when it is a power of two.  A factor other than 1 occurs only on
+    ``order_exponent`` bits wide, holds a coefficient (bit j on GF(2), byte
+    j on GF(2^8)).  An equation's row starts at column ``base``; a pivot row
+    starts at its pivot column, whose lane is scaled to 1, so the ints are
+    as wide as a row's span however far the columns run, and a row is a
+    singleton exactly when it is 1.  A factor other than 1 occurs only on
     GF(2^8), where it scales every lane of a row at once through
     ``FieldSpec.scale``.
 
     A pivot row changes only when an equation's new pivot column is
-    eliminated from it, so the fresh singletons are found among the rows an
-    equation touches plus its own new row; the other rows need no rescan.
+    eliminated from it, and a singleton row never holds another pivot's
+    column, so the fresh singletons are found among the rows an equation
+    touches plus its own new row; the other rows need no rescan.  GF(2^8)
+    looks for touched rows only among the pivots whose rows are not yet
+    singletons.  GF(2) walks every pivot row: the same skip would serve it,
+    and is left for the change that makes its long decodes linear.
 
     A right-hand side may pack a vector into one int, in the same lanes: bit
     j is entry j on GF(2), byte lane j on GF(2^8), and a product scales it
@@ -153,44 +158,53 @@ class IncrementalSolver:
 
     def __init__(self, field: FieldSpec):
         self.field = field
+        self._m = field.order_exponent  # lane width in bits
+        self._lane = field.size - 1  # one lane's mask
         self._pivots: dict[int, tuple[int, int]] = {}  # col -> (row, rhs)
+        # GF(2^8): pivot columns whose rows are not singletons, in pivot
+        # order (a dict used as an ordered set).  None on GF(2), which walks
+        # every pivot row.
+        self._unresolved: dict[int, None] | None = {} if self._m > 1 else None
 
     def _times(self, v: int, factor: int) -> int:
         """``v`` with every lane multiplied by the GF(2^8) ``factor``."""
         return _scale_lanes(v, self.field.scale[self.field.log[factor]])
 
-    def add_equation(self, coeffs, rhs: int) -> list[tuple[int, int]]:
-        """Insert one equation.  ``coeffs`` is a packed row or maps column ->
-        coefficient, a zero coefficient being the same as an absent column.
+    def add_equation(self, coeffs, rhs: int, base: int = 0) -> list[tuple[int, int]]:
+        """Insert one equation.  ``coeffs`` is a packed row whose lane j holds
+        column ``base`` + j, or maps j -> coefficient of column ``base`` + j,
+        a zero coefficient being the same as an absent column.
 
         Returns ``(col, value)`` per newly determined unknown, in pivot
         insertion order.  Raises :class:`InconsistentSystemError`, carrying
         the reduced rhs, when the equation contradicts the current span; the
         solver is then as it was before the call.
         """
-        m = self.field.order_exponent
-        lane = self.field.size - 1
+        m, lane = self._m, self._lane
         if isinstance(coeffs, int):
             row = coeffs
         else:
             row = 0
             for col, coeff in coeffs.items():
-                row ^= (coeff & lane) << (col * m)
+                if not 0 <= coeff <= lane:
+                    raise ValueError(f"coefficient {coeff!r} of column {base + col} outside [0, {lane + 1})")
+                row ^= coeff << (col * m)
         pivots = self._pivots
         # Reduce against every pivot column present in the row.  Pivot rows
         # keep their pivot as the lowest nonzero lane, so elimination only
         # ever changes higher lanes and one ascending scan suffices.
         scan = row
         while scan:
-            col = ((scan & -scan).bit_length() - 1) // m
-            hit = pivots.get(col)
-            top = (col + 1) * m
+            k = ((scan & -scan).bit_length() - 1) // m
+            hit = pivots.get(base + k)
+            at = k * m
+            top = at + m
             if hit is not None:
                 prow, prhs = hit
-                f = row >> (col * m) & lane
+                f = row >> at & lane
                 if f != 1:
                     prow, prhs = self._times(prow, f), self._times(prhs, f)
-                row ^= prow
+                row ^= prow << at
                 rhs ^= prhs
                 scan = row >> top << top
             else:
@@ -199,28 +213,38 @@ class IncrementalSolver:
             if rhs:
                 raise InconsistentSystemError(rhs)
             return []
-        col = ((row & -row).bit_length() - 1) // m
-        shift = col * m
-        f = row >> shift & lane
-        if f != 1:  # normalise the pivot lane to 1
-            f = self.field.inv(f)
-            row, rhs = self._times(row, f), self._times(rhs, f)
-        # Back-substitute into every row holding the new pivot column.
-        at = lane << shift
+        k = ((row & -row).bit_length() - 1) // m
+        col = base + k
+        row >>= k * m
+        f = row & lane
+        if f != 1:  # normalise the pivot lane to 1: scale by 1/f, 2^-log(f) mod 255
+            table = self.field.scale[-self.field.log[f] % lane]
+            row, rhs = _scale_lanes(row, table), _scale_lanes(rhs, table)
+        # Back-substitute into every row holding the new pivot column, which
+        # sits (col - c) lanes above row c's pivot.  A singleton row holds no
+        # other pivot's column, so GF(2^8) looks only at the unresolved rows;
+        # both walks keep pivot order, as the fresh list needs.
         fresh = []
-        for c, (prow, prhs) in list(pivots.items()):
-            if prow & at:
-                f = prow >> shift & lane
+        unresolved = self._unresolved
+        walk = list(pivots.items()) if unresolved is None else [(c, pivots[c]) for c in unresolved]
+        for c, (prow, prhs) in walk:
+            d = col - c
+            if d > 0 and (f := prow >> d * m & lane):
+                d *= m
                 if f == 1:
-                    prow ^= row
+                    prow ^= row << d
                     prhs ^= rhs
                 else:
-                    prow ^= self._times(row, f)
+                    prow ^= self._times(row, f) << d
                     prhs ^= self._times(rhs, f)
                 pivots[c] = (prow, prhs)
-                if prow & (prow - 1) == 0:
+                if prow == 1:
                     fresh.append((c, prhs))
+                    if unresolved is not None:
+                        del unresolved[c]
         pivots[col] = (row, rhs)
-        if row & (row - 1) == 0:
+        if row == 1:
             fresh.append((col, rhs))
+        elif unresolved is not None:
+            unresolved[col] = None
         return fresh

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from .algebra import IncrementalSolver, InconsistentSystemError
-from .code_model import StreamingCodeSpec, encode
+from .code_model import StreamingCodeSpec, check_symbols, encode
 from .musco import Region, classify
 
 ERASED = None  # erasure mark in a received stream
@@ -116,10 +116,10 @@ def _equations(spec: StreamingCodeSpec, erased_times: Sequence[int], horizon: in
     ``erased_times``, in time order.
 
     ``erased_times`` is ascending and below ``horizon``.  Yields
-    ``(t, pos, eq, known)`` per received parity sub-symbol (t, pos) whose
-    taps reach an unknown: ``eq`` is the packed row of the unknowns' columns
-    (erased time index * n_source + row), as
-    :class:`~burstfec.algebra.IncrementalSolver` takes it, and ``known``
+    ``(t, pos, eq, base, known)`` per received parity sub-symbol (t, pos)
+    whose taps reach an unknown: ``eq`` is the packed row of the unknowns'
+    columns (erased time index * n_source + row) from column ``base`` on,
+    as :class:`~burstfec.algebra.IncrementalSolver` takes it, and ``known``
     lists the ``(delay, source row, w)`` taps that read a received source,
     whose values :func:`_solve` folds into the rhs.  The other parity
     sub-symbols carry no information about the unknowns, so the scan starts
@@ -141,33 +141,42 @@ def _equations(spec: StreamingCodeSpec, erased_times: Sequence[int], horizon: in
                      for tap in prow.taps])
         for r, prow in enumerate(spec.parity_rows)
     ]
+    memory = spec.memory
+    n_erased = len(erased_times)
+    low = 0
     for t in range(erased_times[0], horizon):
         if t in first_bit:
             continue
+        # Rows start at the first erased time the taps can reach, so they
+        # stay as wide as the memory however long the stream.
+        while low < n_erased and erased_times[low] < t - memory:
+            low += 1
+        base = low * n_src
+        base_bit = base * m
         for pos, taps in rows:
             eq = 0
             for delay, _, _, coeff in taps:
                 bit = first_bit.get(t - delay)
                 if bit is not None:
-                    eq ^= coeff << bit
+                    eq ^= coeff << (bit - base_bit)
             if eq:
                 known = [
                     (delay, row, w)
                     for delay, row, w, _ in taps
                     if t - delay >= 0 and t - delay not in first_bit
                 ]
-                yield t, pos, eq, known
+                yield t, pos, eq, base, known
 
 
 def _with_rhs(field, equations, received: Sequence, shift: int):
-    """``(t, eq, rhs)`` per equation of ``equations`` (as :func:`_equations`
-    yields them), every time in it moved ``shift`` steps later and the rhs
-    read from ``received`` at the moved times: the parity sub-symbol less
-    its known taps."""
+    """``(t, eq, base, rhs)`` per equation of ``equations`` (as
+    :func:`_equations` yields them), every time in it moved ``shift`` steps
+    later and the rhs read from ``received`` at the moved times: the parity
+    sub-symbol less its known taps."""
     binary = field.order_exponent == 1
     if not binary:
         exp, log = field.exp, field.log
-    for t, pos, eq, known in equations:
+    for t, pos, eq, base, known in equations:
         t += shift
         rhs = received[t][pos]
         if binary:
@@ -178,7 +187,7 @@ def _with_rhs(field, equations, received: Sequence, shift: int):
                 value = received[t - delay][row]
                 if value:
                     rhs ^= exp[w + log[value]]
-        yield t, eq, rhs
+        yield t, eq, base, rhs
 
 
 def _solve(field, equations, received: Sequence, n_unknowns: int) -> list:
@@ -190,8 +199,8 @@ def _solve(field, equations, received: Sequence, n_unknowns: int) -> list:
     """
     solver = IncrementalSolver(field)
     recovered = [(None, None)] * n_unknowns
-    for t, eq, rhs in _with_rhs(field, equations, received, 0):
-        for col, value in solver.add_equation(eq, rhs):
+    for t, eq, base, rhs in _with_rhs(field, equations, received, 0):
+        for col, value in solver.add_equation(eq, rhs, base):
             recovered[col] = (t, value)
     return recovered
 
@@ -211,9 +220,9 @@ def _combinations(field, equations: Sequence, n_unknowns: int):
     times = [None] * n_unknowns
     combinations = [0] * n_unknowns
     residuals = []
-    for j, (t, _, eq, _) in enumerate(equations):
+    for j, (t, _, eq, base, _) in enumerate(equations):
         try:
-            fresh = solver.add_equation(eq, 1 << j)
+            fresh = solver.add_equation(eq, 1 << j, base)
         except InconsistentSystemError as exc:  # eq is in the span: e_j survives
             residuals.append(exc.rhs)
             continue
@@ -254,7 +263,7 @@ def _first_wrong_per_start(field, equations, n_unknowns, channel, src, memory: i
     times, combinations, residuals = _combinations(field, equations, n_unknowns)
     n_src = len(src[0])
     for shift in range(n_starts):
-        values = [rhs for _, _, rhs in _with_rhs(field, equations, channel, shift)]
+        values = [rhs for _, _, _, rhs in _with_rhs(field, equations, channel, shift)]
         contradiction = next((v for v in _evaluate(residuals, values) if v), 0)
         if contradiction:
             return times, (shift, _CONTRADICTION, contradiction)
@@ -289,12 +298,12 @@ def _solve_lanes(field, equations, n_unknowns, channel, src, memory: int, n_star
     times = [None] * n_unknowns
     values = [0] * n_unknowns
     refused = []
-    for t, pos, eq, known in equations:
+    for t, pos, eq, base, known in equations:
         rhs = lanes(channel[pos], t)
         for delay, row, w in known:
             rhs ^= lanes(channel[row], t - delay, w)
         try:
-            fresh = solver.add_equation(eq, rhs)
+            fresh = solver.add_equation(eq, rhs, base)
         except InconsistentSystemError as exc:
             refused.append(exc.rhs)
             continue
@@ -313,31 +322,6 @@ def _solve_lanes(field, equations, n_unknowns, channel, src, memory: int, n_star
         if diff and (wrong is None or first_lane(diff) < wrong[0]):
             wrong = (first_lane(diff), 2 * col + 2, None)
     return times, wrong
-
-
-def _check_received(spec: StreamingCodeSpec, symbols: list, times: list[int]) -> None:
-    """Raise ``ValueError`` naming the first of ``symbols``, received at
-    ``times``, whose width is not the code's, or else the first (t, position)
-    whose value is no field element.
-
-    The common case costs one ``bytes`` per position, as in ``encode``.
-    """
-    width = spec.n_source + spec.n_parity
-    size = spec.field.size
-    try:
-        ok = set(map(len, symbols)) <= {width} and all(
-            max(bytes(position)) < size for position in zip(*symbols)
-        )
-    except (TypeError, ValueError):  # a value that is no byte
-        ok = False
-    if ok:
-        return
-    for t, sym in zip(times, symbols):
-        if len(sym) != width:
-            raise ValueError(f"received symbol at time {t} has {len(sym)} positions, not {width}")
-        for pos, v in enumerate(sym):
-            if not (isinstance(v, int) and 0 <= v < size):
-                raise ValueError(f"received value {v!r} at {(t, pos)} outside [0, {size})")
 
 
 def generic_decode(
@@ -367,7 +351,8 @@ def generic_decode(
     for t in clean:
         if received[t] is ERASED:
             raise ValueError(f"missing symbol at unerased time {t}")
-    _check_received(spec, [received[t] for t in clean], clean)
+    width = spec.n_source + spec.n_parity
+    check_symbols([received[t] for t in clean], clean, width, spec.field.size, "received")
     n_src = spec.n_source
     report = DecodeReport(n_src, horizon)
     entries = report.entries

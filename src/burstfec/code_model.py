@@ -145,6 +145,33 @@ SourceStream = Sequence[Sequence[int]]
 ChannelStream = list
 
 
+def check_symbols(symbols: Sequence, times: Sequence[int], width: int, size: int, what: str) -> list[bytes]:
+    """One byte string per position of ``symbols``, the symbols at ``times``,
+    once they are checked.
+
+    Raises ``ValueError`` naming the first symbol whose width is not
+    ``width``, or else the first (t, position) whose value lies outside
+    [0, ``size``); ``what`` names the symbols in the message.  The common
+    case costs one ``bytes`` per position.
+    """
+    if set(map(len, symbols)) - {width}:
+        t, n = next((t, len(sym)) for t, sym in zip(times, symbols) if len(sym) != width)
+        raise ValueError(f"{what} symbol at time {t} has {n} positions, not {width}")
+    try:
+        columns = [bytes(column) for column in zip(*symbols)]
+    except (TypeError, ValueError):  # a value that is no byte
+        columns = None
+    if columns is None or any(max(c) >= size for c in columns):
+        t, pos, v = next(
+            (t, pos, v)
+            for t, sym in zip(times, symbols)
+            for pos, v in enumerate(sym)
+            if not (isinstance(v, int) and 0 <= v < size)
+        )
+        raise ValueError(f"{what} value {v!r} at {(t, pos)} outside [0, {size})")
+    return columns
+
+
 def encode(spec: StreamingCodeSpec, src: SourceStream, horizon: int) -> ChannelStream:
     """Channel symbols for t in [0, horizon): systematic copy of s[t]
     followed by the parity rows, with s[t < 0] = 0.
@@ -152,28 +179,15 @@ def encode(spec: StreamingCodeSpec, src: SourceStream, horizon: int) -> ChannelS
     A parity row is the XOR of its taps' source columns, each a byte string
     over time scaled by one ``FieldSpec.scale`` translate, read as an int
     and shifted ``delay`` bytes later.  Raises ``ValueError`` naming the
-    first (t, row) whose source value lies outside [0, field size).
+    first (t, row) whose source value lies outside [0, field size), and
+    on a source symbol whose width is not ``n_source``.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     field = spec.field
-    size = field.size
-    padded = [tuple(s) for s in list(src)[:horizon]]
-    if any(len(s) != spec.n_source for s in padded):
-        raise ValueError("source symbol width does not match n_source")
+    padded = list(src)[:horizon]
     padded.extend([(0,) * spec.n_source] * (horizon - len(padded)))
-    try:
-        columns = [bytes(column) for column in zip(*padded)]
-    except (TypeError, ValueError):  # a value that is no byte
-        columns = None
-    if columns is None or any(max(c) >= size for c in columns):
-        t, row = next(
-            (t, row)
-            for t, sym in enumerate(padded)
-            for row, v in enumerate(sym)
-            if not (isinstance(v, int) and 0 <= v < size)
-        )
-        raise ValueError(f"source value {padded[t][row]!r} at {(t, row)} outside [0, {size})")
+    columns = check_symbols(padded, range(horizon), spec.n_source, field.size, "source")
     mask = (1 << (8 * horizon)) - 1
     parity = []
     for prow in spec.parity_rows:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -252,10 +253,11 @@ def test_solve_full_rank_random_square_system():
 
 def _rescan(solver, seen):
     """The full-pivot rescan ``add_equation`` once ran after every equation:
-    every singleton pivot row not reported before, in pivot order."""
+    every singleton pivot row not reported before, in pivot order.  A pivot
+    row is stored from its pivot lane on, so a singleton is 1."""
     fresh = []
     for col, (row, rhs) in solver._pivots.items():
-        if row & (row - 1) == 0 and col not in seen:
+        if row == 1 and col not in seen:
             seen.add(col)
             fresh.append((col, rhs))
     return fresh
@@ -278,16 +280,32 @@ def test_add_equation_reports_what_a_full_rescan_finds(field):
                 rhs ^= field.mul(c, truth[j])
             if not consistent and rng.random() < 0.3:
                 rhs ^= rng.randrange(1, field.size)
-            if rng.random() < 0.5:  # the packed form, lane j holding column j
-                row = sum(c << (j * field.order_exponent) for j, c in row.items())
+            base = 0
+            if rng.random() < 0.5:  # the packed form, lane j holding column base + j
+                base = rng.randint(0, min(row))
+                row = sum(c << ((j - base) * field.order_exponent) for j, c in row.items())
             try:
-                got = solver.add_equation(row, rhs)
+                got = solver.add_equation(row, rhs, base)
             except InconsistentSystemError:
                 kinds.add("inconsistent")
                 got = []
             assert got == _rescan(solver, seen)
         kinds.add("full rank" if len(seen) == n else "rank deficient")
     assert kinds == {"inconsistent", "full rank", "rank deficient"}
+
+
+@pytest.mark.parametrize(
+    "field, coeff",
+    [(GF2, 2), (GF2, -1), (GF256, 256), (GF256, -1)],
+    ids=["gf2-2", "gf2-neg", "gf256-256", "gf256-neg"],
+)
+def test_add_equation_rejects_a_coefficient_outside_the_field(field, coeff):
+    solver = IncrementalSolver(field)
+    assert solver.add_equation({0: 1, 1: 1}, 1) == []
+    with pytest.raises(ValueError, match=re.escape(f"coefficient {coeff} of column 3 outside [0, {field.size})")):
+        solver.add_equation({0: 1, 1: coeff}, 0, 2)
+    # the refusal left the solver as it was
+    assert solver.add_equation({1: 1}, 1) == [(0, 0), (1, 1)]
 
 
 @pytest.mark.parametrize("field", [GF256], ids=["gf256"])

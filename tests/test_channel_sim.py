@@ -304,9 +304,9 @@ def test_verify_eliminates_each_length_once(monkeypatch):
     calls = []
     real_add = IncrementalSolver.add_equation
 
-    def counted(self, coeffs, rhs):
+    def counted(self, coeffs, rhs, base=0):
         calls.append(rhs)
-        return real_add(self, coeffs, rhs)
+        return real_add(self, coeffs, rhs, base)
 
     monkeypatch.setattr(IncrementalSolver, "add_equation", counted)
     spec = construct(MulticastParams(1, 2, 3, 6))
