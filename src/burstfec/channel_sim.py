@@ -273,37 +273,52 @@ def _first_wrong_per_start(field, equations, n_unknowns, channel, src, memory: i
     return times, None
 
 
-def _solve_lanes(field, equations, n_unknowns, channel, src, memory: int, n_starts: int):
+def _lane_columns(spec: StreamingCodeSpec, channel: Sequence) -> dict:
+    """GF(2^8): each sub-symbol position of ``channel`` as one int over
+    time, one byte per time step, keyed (position, 0), and each (source
+    row, log coefficient) a tap of ``spec`` reads, scaled by one
+    ``FieldSpec.scale`` translate."""
+    field = spec.field
+    positions = [bytes(position) for position in zip(*channel)]
+    columns = {(pos, 0): int.from_bytes(column, "little") for pos, column in enumerate(positions)}
+    for prow in spec.parity_rows:
+        for tap in prow.taps:
+            key = (tap.source_row, field.log[tap.coeff])
+            if key not in columns:
+                scaled = positions[tap.source_row].translate(field.scale[key[1]])
+                columns[key] = int.from_bytes(scaled, "little")
+    return columns
+
+
+def _solve_lanes(field, equations, n_unknowns, columns, source, memory: int, n_starts: int):
     """GF(2^8): :func:`_first_wrong_per_start` with every start solved in
     the one elimination, start ``memory + shift`` in byte lane ``shift``.
 
-    ``channel[pos]`` and ``src[row]`` are byte strings over time, so the
-    slice from t on holds time t + shift in lane ``shift``.  An equation's
-    rhs is its parity slice less each known tap's source slice, scaled by
-    one ``FieldSpec.scale`` translate.  A fresh column's value then holds
-    its decoded value at each start, and a dependent equation refused for a
-    nonzero reduced rhs is a contradiction.  The lowest nonzero byte of a
-    refused rhs, or of a decoded value less the source, is its first
-    failing start.
+    ``columns`` are :func:`_lane_columns`' ints over time, one byte per
+    time step, and ``source[row]`` is the encoded source row read the same
+    way.  Shifted down t bytes, a column holds time t + shift in lane
+    ``shift``, so an equation's rhs is its parity column XOR each known
+    tap's scaled source column, each shifted to its time, masked once to
+    ``n_starts`` lanes.  A fresh column's value then holds its decoded
+    value at each start, and a dependent equation refused for a nonzero
+    reduced rhs is a contradiction.  The lowest nonzero byte of a refused
+    rhs, or of a decoded value less the source, is its first failing start.
     """
-    scale = field.scale
-
-    def lanes(stream: bytes, t: int, log_coeff: int = 0) -> int:
-        return int.from_bytes(stream[t : t + n_starts].translate(scale[log_coeff]), "little")
 
     def first_lane(v: int) -> int:
         return ((v & -v).bit_length() - 1) >> 3
 
+    mask = (1 << 8 * n_starts) - 1
     solver = IncrementalSolver(field)
     times = [None] * n_unknowns
     values = [0] * n_unknowns
     refused = []
     for t, pos, eq, base, known in equations:
-        rhs = lanes(channel[pos], t)
+        rhs = columns[pos, 0] >> 8 * t
         for delay, row, w in known:
-            rhs ^= lanes(channel[row], t - delay, w)
+            rhs ^= columns[row, w] >> 8 * (t - delay)
         try:
-            fresh = solver.add_equation(eq, rhs, base)
+            fresh = solver.add_equation(eq, rhs & mask, base)
         except InconsistentSystemError as exc:
             refused.append(exc.rhs)
             continue
@@ -316,9 +331,9 @@ def _solve_lanes(field, equations, n_unknowns, channel, src, memory: int, n_star
         # the first dependent equation, in order, that fails at that start
         contradiction = next(c for v in refused if (c := v >> (8 * shift) & 0xFF))
         wrong = (shift, _CONTRADICTION, contradiction)
-    n_src = len(src)
+    n_src = len(source)
     for col, value in enumerate(values):
-        diff = value ^ lanes(src[col % n_src], memory + col // n_src)
+        diff = value ^ source[col % n_src] >> 8 * (memory + col // n_src) & mask
         if diff and (wrong is None or first_lane(diff) < wrong[0]):
             wrong = (first_lane(diff), 2 * col + 2, None)
     return times, wrong
@@ -370,19 +385,59 @@ def generic_decode(
 # -- deadline verification ---------------------------------------------------
 
 
+_BIT_1 = bytes(x >> 1 & 1 for x in range(256))  # a GF(2) source value from its hash's low byte
+
+
+def _source_columns(n_source: int, horizon: int, field_size: int, seed: int) -> list[bytes]:
+    """:func:`source_fill`'s stream as one byte string per source row, one
+    byte per time step.
+
+    One SWAR kernel hashes every (row, t) at once: each is a 64-bit lane of
+    one int, lane ``row * horizon + t``.  A lane holds a 32-bit value, and
+    the product with a 32-bit constant fits in it, so no step carries into
+    the next lane; each right shift is masked back to the lane's own bits.
+    Each value is then read off its lane's low byte.
+    """
+    if field_size not in (2, 256):
+        raise ValueError(f"field size must be 2 or 256, got {field_size}")
+    if n_source <= 0 or horizon <= 0:
+        return [b""] * max(n_source, 0)
+    lanes = n_source * horizon
+    ramp = b"".join(t.to_bytes(8, "little") for t in range(horizon))
+    offsets = b"".join(
+        ((r * 7919 + seed * 104729 + 12345) & 0xFFFFFFFF).to_bytes(8, "little") * horizon
+        for r in range(n_source)
+    )
+    low32 = int.from_bytes(b"\xff\xff\xff\xff\0\0\0\0" * lanes, "little")
+    h = int.from_bytes(ramp * n_source, "little") * 1000003
+    h = h + int.from_bytes(offsets, "little") & low32
+    h ^= h >> 13 & low32
+    h = h * 2654435761 & low32
+    h ^= h >> 17 & low32
+    raw = h.to_bytes(8 * lanes, "little")
+    columns = [raw[8 * horizon * r : 8 * horizon * (r + 1) : 8] for r in range(n_source)]
+    if field_size == 2:
+        columns = [column.translate(_BIT_1) for column in columns]
+    return columns
+
+
 def source_fill(n_source: int, horizon: int, field_size: int, seed: int = 0) -> list[tuple]:
-    """Deterministic pseudo-random source stream (no RNG state)."""
-    out = []
-    for t in range(horizon):
-        row = []
-        for r in range(n_source):
-            h = (t * 1000003 + r * 7919 + seed * 104729 + 12345) & 0xFFFFFFFF
-            h ^= h >> 13
-            h = (h * 2654435761) & 0xFFFFFFFF
-            h ^= h >> 17
-            row.append(h % field_size if field_size > 2 else (h >> 1) & 1)
-        out.append(tuple(row))
-    return out
+    """Deterministic pseudo-random source stream (no RNG state), one tuple of
+    ``n_source`` values per time step t < ``horizon``.
+
+    Row r's value at t comes from the 32-bit hash
+
+        h = (t * 1000003 + r * 7919 + seed * 104729 + 12345) mod 2^32
+        h ^= h >> 13;  h = h * 2654435761 mod 2^32;  h ^= h >> 17
+
+    as its low byte on GF(2^8) (``field_size`` 256) and as its bit 1 on
+    GF(2) (``field_size`` 2).  Any other ``field_size`` raises
+    ``ValueError``.
+    """
+    columns = _source_columns(n_source, horizon, field_size, seed)
+    if not columns:
+        return [()] * max(horizon, 0)
+    return list(zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -448,15 +503,14 @@ def verify_deadlines(
     n_src = spec.n_source
     field = spec.field
     horizon = memory + window + user.burst + user.delay + 1
-    src = source_fill(n_src, horizon, field.size, seed)
+    columns = _source_columns(n_src, horizon, field.size, seed)
+    src = list(zip(*columns))
     channel = encode(spec, src, horizon)
     if field.order_exponent == 1:
         solve, received, source = _first_wrong_per_start, channel, src
     else:
-        # one byte string per sub-symbol position, one byte per time step
-        solve = _solve_lanes
-        received = [bytes(position) for position in zip(*channel)]
-        source = [bytes(row) for row in zip(*src)]
+        solve, received = _solve_lanes, _lane_columns(spec, channel)
+        source = [int.from_bytes(column, "little") for column in columns]
     # Each length's equations are built and eliminated once, for the burst
     # at start ``memory``, and their rhs read at every later start.  That is
     # exact: every start is >= memory, so every tap of a received time

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .algebra import FIELDS, GF2, FieldSpec
@@ -132,8 +133,11 @@ class StreamingCodeSpec:
     def n_parity(self) -> int:
         return len(self.parity_rows)
 
-    @property
+    @cached_property
     def memory(self) -> int:
+        """The largest tap delay, 0 without taps.  Computed on first read and
+        kept in the instance, outside the fields, so equality, hashing and
+        pickling see the same spec either way."""
         return max((r.max_delay for r in self.parity_rows), default=0)
 
     @property

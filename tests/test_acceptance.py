@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the one-line
 verdict each criterion prints.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -32,6 +33,7 @@ from burstfec.musco import (
     constructible,
     construct,
     construct_ia_sco,
+    critical_delays,
     upper_bound_cu,
     upper_bound_pec,
 )
@@ -328,3 +330,40 @@ def test_criterion_8_bound_consistency_and_contour():
             assert capacity(p).capacity == capacity(q).capacity, (p, q)
     dt = time.time() - t0
     _report("criterion 8: bound consistency and region-e contour", True, f"{dt:.1f}s")
+
+
+def _worst_delay(spec, burst, delay):
+    """Worst recovery_time - t over one length-``burst`` burst at start
+    ``memory``, decoded up to the deadline of its last symbol."""
+    start = spec.memory
+    horizon = start + burst + delay + 1
+    src = source_fill(spec.n_source, horizon, spec.field.size)
+    burst_at = SingleBurst(start, burst)
+    received = apply_channel(encode(spec, src, horizon), burst_at)
+    report = generic_decode(spec, received, burst_at, horizon)
+    return max(rep.recovery_time - t for (t, _), rep in report.erased_entries())
+
+
+def test_criterion_9_achieved_delays_equal_critical_delays():
+    # every code meets its critical delays and no earlier one, over the
+    # field construct() picks and over GF(2^8): the <=-deadline oracle of
+    # criterion 4 cannot see a code that passes only by slack it should not
+    # need.  The one exception: in region (a) with B1 = B2 (alpha = 1) user
+    # 2 recovers by T1, below T2* = T1 + B1.
+    t0 = time.time()
+    points = [p for p in _all_points() if constructible(p)]
+    assert len(points) == 720
+    for field in (None, GF256):
+        early = 0
+        for p in points:
+            spec = construct(p, field)
+            want = tuple(math.ceil(d) for d in critical_delays(p))
+            got = (_worst_delay(spec, p.b1, p.t1), _worst_delay(spec, p.b2, p.t2))
+            if classify(p) is Region.A and p.b1 == p.b2 and got == (want[0], p.t1):
+                early += 1
+                continue
+            assert got == want, (p, field)
+        assert early == 50, field
+    dt = time.time() - t0
+    _report("criterion 9: achieved delays equal the critical delays", dt < 60,
+            f"{len(points)} points x 2 fields, 50 region-a early per field, {dt:.1f}s")

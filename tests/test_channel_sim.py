@@ -128,6 +128,39 @@ def test_report_csv_shape():
     assert (2, 0, 1, 4) in rows and (3, 0, 0, 3) in rows
 
 
+def _source_fill_reference(n_source, horizon, field_size, seed=0):
+    """The per-element hash loop that ``source_fill``'s SWAR kernel replaced."""
+    out = []
+    for t in range(horizon):
+        row = []
+        for r in range(n_source):
+            h = (t * 1000003 + r * 7919 + seed * 104729 + 12345) & 0xFFFFFFFF
+            h ^= h >> 13
+            h = (h * 2654435761) & 0xFFFFFFFF
+            h ^= h >> 17
+            row.append(h % field_size if field_size > 2 else (h >> 1) & 1)
+        out.append(tuple(row))
+    return out
+
+
+@pytest.mark.parametrize("field_size", [2, 256])
+def test_source_fill_is_bit_identical_to_the_per_element_hash(field_size):
+    for n_source, horizon, seed in itertools.product(
+        (0, 1, 2, 5, 35), (0, 1, 2, 17, 2000), (0, 1, 99, -7, 2**40)
+    ):
+        got = source_fill(n_source, horizon, field_size, seed)
+        assert got == _source_fill_reference(n_source, horizon, field_size, seed), (
+            n_source, horizon, seed)
+    assert source_fill(0, 3, field_size) == [(), (), ()]
+    assert source_fill(2, 0, field_size) == source_fill(2, -4, field_size) == []
+
+
+@pytest.mark.parametrize("field_size", [0, 1, 3, 4, 255, 257])
+def test_source_fill_rejects_a_field_size_other_than_2_or_256(field_size):
+    with pytest.raises(ValueError, match=f"^field size must be 2 or 256, got {field_size}$"):
+        source_fill(2, 5, field_size)
+
+
 def test_verify_vacuous_for_zero_burst():
     spec = construct_sco(ScoParams(2, 3))
     assert verify_deadlines(spec, UserSpec(0, 3), 10).passed
@@ -606,6 +639,38 @@ def test_region_schedule_fits_only_its_region():
         assert make_periodic(region_schedule(p), p).burst == p.b2
     with pytest.raises(ValueError, match="region f has no counting schedule"):
         region_schedule(MulticastParams(3, 4, 5, 6))
+
+
+@pytest.mark.parametrize("point", [(2, 6, 7, 8), (5, 8, 5, 8)])
+def test_gf256_run_pec_rows_stay_as_wide_and_as_few_at_any_length(monkeypatch, point):
+    # A long GF(2^8) decode walks only the unresolved pivot rows, so its cost
+    # per period holds only while those rows stay as few and as narrow as
+    # the code makes them: the peaks at 300 periods are those at 75 (281 and
+    # 150 bits, 9 and 8 rows at these two points).
+    peaks = []
+
+    class Recording(IncrementalSolver):
+        def __init__(self, field):
+            super().__init__(field)
+            self.widest = self.unresolved = 0
+            peaks.append(self)
+
+        def add_equation(self, coeffs, rhs, base=0):
+            fresh = super().add_equation(coeffs, rhs, base)
+            # a pivot row is a singleton, 1, or unresolved
+            rows = [self._pivots[c][0] for c in self._unresolved]
+            self.widest = max(self.widest, 1, *(row.bit_length() for row in rows))
+            self.unresolved = max(self.unresolved, len(rows))
+            return fresh
+
+    monkeypatch.setattr(channel_sim, "IncrementalSolver", Recording)
+    p = MulticastParams(*point)
+    spec = construct(p, GF256)
+    pattern = make_periodic(region_schedule(p), p)
+    for periods in (75, 300):
+        run_pec(spec, pattern, periods)
+    short, long = peaks
+    assert (long.widest, long.unresolved) == (short.widest, short.unresolved) != (1, 0)
 
 
 def test_single_user_pec_schedule():

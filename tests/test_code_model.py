@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import re
 
@@ -157,6 +158,27 @@ def test_rate_and_memory():
     assert (spec.rate.numerator, spec.rate.denominator) == (3, 5)
     assert spec.memory == 8
     assert StreamingCodeSpec(GF2, 4, ()).rate == 1
+
+
+def test_memory_is_read_once_and_leaves_the_spec_equal():
+    # memory is the largest tap delay, computed on first read and kept out
+    # of the fields: construct() leaves it unread, and a spec that has read
+    # it still equals, hashes like and pickles to the spec that has not
+    checked = 0
+    for point in itertools.product(range(1, 9), repeat=4):
+        p = MulticastParams(*point)
+        if point[0] > point[2] or not constructible(p):
+            continue
+        for field in (None, GF256):
+            spec, fresh = construct(p, field), construct(p, field)
+            assert "memory" not in vars(spec)
+            largest = max(tap.delay for row in spec.parity_rows for tap in row.taps)
+            assert spec.memory == largest and vars(spec)["memory"] == largest, (point, field)
+            assert spec == fresh and hash(spec) == hash(fresh)
+            assert pickle.loads(pickle.dumps(spec)) == fresh
+            assert pickle.loads(pickle.dumps(fresh)).memory == largest
+            checked += 1
+    assert checked == 720 * 2
 
 
 def test_spec_rejects_noncausal_and_bad_rows():

@@ -1,21 +1,13 @@
 import gc
 import itertools
-import math
 import weakref
 from fractions import Fraction
 
 import pytest
 
 from burstfec.algebra import GF256
-from burstfec.channel_sim import (
-    SingleBurst,
-    UserSpec,
-    apply_channel,
-    generic_decode,
-    source_fill,
-    verify_deadlines,
-)
-from burstfec.code_model import StreamingCodeSpec, encode, spec_to_text
+from burstfec.channel_sim import UserSpec, verify_deadlines
+from burstfec.code_model import StreamingCodeSpec, spec_to_text
 from burstfec.musco import (
     MulticastParams,
     NonIntegerAlphaError,
@@ -394,39 +386,6 @@ def test_dropping_any_parity_row_fails_a_user():
             assert not _passes_both_users(weaker, p, window), (pt, i)
             drops += 1
     assert drops == 846
-
-
-def _worst_delay(spec, burst, delay):
-    """Worst recovery_time - t over one length-``burst`` burst at start
-    ``memory``, decoded up to the deadline of its last symbol."""
-    start = spec.memory
-    horizon = start + burst + delay + 1
-    src = source_fill(spec.n_source, horizon, spec.field.size)
-    burst_at = SingleBurst(start, burst)
-    received = apply_channel(encode(spec, src, horizon), burst_at)
-    report = generic_decode(spec, received, burst_at, horizon)
-    return max(rep.recovery_time - t for (t, _), rep in report.erased_entries())
-
-
-def test_achieved_delays_equal_critical_delays():
-    # every code meets its critical delays and no earlier one, over the
-    # field construct() picks and over GF(2^8).  The one exception: in
-    # region (a) with B1 = B2 (alpha = 1) user 2 recovers by T1, below
-    # T2* = T1 + B1.
-    for field in (None, GF256):
-        early = 0
-        for pt in itertools.product(range(1, 9), repeat=4):
-            p = P(*pt)
-            if pt[0] > pt[2] or not constructible(p):
-                continue
-            spec = construct(p, field)
-            want = tuple(math.ceil(d) for d in critical_delays(p))
-            got = (_worst_delay(spec, p.b1, p.t1), _worst_delay(spec, p.b2, p.t2))
-            if classify(p) is Region.A and p.b1 == p.b2 and got == (want[0], p.t1):
-                early += 1
-                continue
-            assert got == want, (p, field)
-        assert early == 50, field
 
 
 def test_construct_keeps_no_spec_alive():
